@@ -37,7 +37,7 @@ from .errors import (
     OutOfRange,
     WouldCycle,
 )
-from .perm import Arc, CyclicPerm, arc_set, arc_text
+from .perm import Arc, CyclicPerm, arc_set, arc_text, trace_components
 from .words import degree_vector, path_steps
 
 _CLASS_LETTER = {
@@ -131,19 +131,15 @@ class BClassification:
 
 
 def classify_bdiagram(b: BDiagram) -> BClassification:
-    """Split vertices by how many arcs open and close at each."""
-    opens = Counter(i for i, _ in b.arcs())
-    closes = Counter(j for _, j in b.arcs())
-    groups: dict[str, set[int]] = {letter: set() for letter in "rRkaAe"}
-    for v in range(1, b.n + 1):
-        groups[_CLASS_LETTER[opens[v], closes[v]]].add(v)
+    """Group vertices by their letter in :func:`block_word`."""
+    word = block_word(b)
+
+    def having(letter: str) -> frozenset[int]:
+        return frozenset(v for v, c in enumerate(word, 1) if c == letter)
+
     return BClassification(
-        R=frozenset(groups["r"]),
-        Rbar=frozenset(groups["R"]),
-        K=frozenset(groups["k"]),
-        A=frozenset(groups["a"]),
-        Abar=frozenset(groups["A"]),
-        L=frozenset(groups["e"]),
+        R=having("r"), Rbar=having("R"), K=having("k"),
+        A=having("a"), Abar=having("A"), L=having("e"),
     )
 
 
@@ -253,50 +249,19 @@ def _realize(word: str) -> BDiagram | None:
 def _blocks_from_arcs(n: int, arcs: frozenset[Arc]) -> BDiagram:
     """Assemble blocks (paths and singletons) from an arc set.
 
-    Raises :class:`NotRepresentable` when the arcs contain a cycle or a
-    single path swallows all n vertices.
+    Raises :class:`NotRepresentable` when a vertex meets more than two
+    arcs, the arcs contain a cycle, or a single path swallows all n
+    vertices.
     """
-    neighbours: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, j in arcs:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    if any(len(vs) > 2 for vs in neighbours.values()):
-        raise NotRepresentable("a vertex would meet more than two arcs")
-    seen = set()
-    blocks = []
-    for v in range(1, n + 1):
-        if v in seen:
-            continue
-        if not neighbours[v]:
-            seen.add(v)
-            blocks.append((v,))
-            continue
-        # walk to one end of the path containing v, then traverse it
-        end = v
-        prev = None
-        steps = 0
-        while True:
-            nxts = [u for u in neighbours[end] if u != prev]
-            if not nxts:
-                break
-            prev, end = end, nxts[0]
-            steps += 1
-            if steps > n:
-                raise NotRepresentable("arcs contain a cycle")
-        path = [end]
-        seen.add(end)
-        prev = None
-        while True:
-            nxts = [u for u in neighbours[path[-1]] if u != prev]
-            if not nxts:
-                break
-            prev = path[-1]
-            path.append(nxts[0])
-            seen.add(nxts[0])
-        if len(path) == n:
-            raise NotRepresentable("the arcs form a single path of all vertices")
-        blocks.append(tuple(path) if path[0] < path[-1] else tuple(reversed(path)))
-    return BDiagram(tuple(sorted(blocks, key=min)))
+    try:
+        components = trace_components(n, arcs)
+    except ValueError as exc:
+        raise NotRepresentable("a vertex would meet more than two arcs") from exc
+    if any(is_cycle for _, is_cycle in components):
+        raise NotRepresentable("arcs contain a cycle")
+    if len(components) == 1:
+        raise NotRepresentable("the arcs form a single path of all vertices")
+    return BDiagram(tuple(walk for walk, _ in components))
 
 
 def cut_set(p: CyclicPerm, b: BDiagram) -> frozenset[Arc]:

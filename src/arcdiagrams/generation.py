@@ -22,8 +22,8 @@ from functools import lru_cache
 from math import factorial
 
 from .bdiagram import BDiagram
-from .errors import CapExceeded, SizeMismatch, TooLarge
-from .perm import Arc, CyclicPerm, all_cyclic_perms, arc_set
+from .errors import CapExceeded, SizeMismatch, TooLarge, TooSmall
+from .perm import Arc, CyclicPerm, all_cyclic_perms, arc_set, trace_components
 
 DEFAULT_CAP = 1_000_000
 ORACLE_MAX_N = 10
@@ -37,7 +37,16 @@ def canonical_generator(b: BDiagram) -> CyclicPerm:
 
 
 def count_generators(b: BDiagram) -> int:
-    """``2**(m-l) * (m-1)!`` for m blocks of which l are singletons."""
+    """``2**(m-l) * (m-1)!`` for m blocks of which l are singletons.
+
+    Raises :class:`TooSmall` below 3 vertices.  Fig. 16's three paths:
+
+    >>> from arcdiagrams.bdiagram import parse_bdiagram
+    >>> count_generators(parse_bdiagram("1 2 3 | 4 7 8 | 5 6"))
+    16
+    """
+    if b.n < 3:
+        raise TooSmall(f"need at least 3 vertices, got {b.n}")
     m, l = b.block_count, b.singleton_count
     return 2 ** (m - l) * factorial(m - 1)
 
@@ -102,15 +111,8 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     have = b.arcs()
     missing = n - len(have)
 
-    degree = {v: 0 for v in range(1, n + 1)}
-    comp = {v: v for v in range(1, n + 1)}
-    for i, j in have:
-        degree[i] += 1
-        degree[j] += 1
-        src = comp[i]
-        for w in comp:
-            if comp[w] == src:
-                comp[w] = comp[j]
+    comp = {v: block[0] for block in b.blocks for v in block}
+    degree = {v: sum(v in arc for arc in have) for v in comp}
 
     candidates = [
         (i, j)
@@ -149,30 +151,15 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
 
     perms: list[CyclicPerm] = []
     for arcs in completions:
-        first = _cycle_walk(n, arcs)
-        perms.append(first)
-        perms.append(first.reverse())
+        [(walk, _)] = trace_components(n, arcs)
+        first = CyclicPerm(walk)
+        perms += (first, first.reverse())
     perms.sort()
     if len(perms) != expected:
         raise RuntimeError(
             f"completion count {len(perms)} != formula {expected} for {b}"
         )
     return tuple(perms)
-
-
-def _cycle_walk(n: int, arcs: frozenset[Arc]) -> CyclicPerm:
-    neighbours: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, j in sorted(arcs):
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    seq = [1]
-    prev = None
-    while len(seq) < n:
-        cur = seq[-1]
-        nxt = min(v for v in neighbours[cur] if v != prev)
-        seq.append(nxt)
-        prev = cur
-    return CyclicPerm(tuple(seq))
 
 
 @dataclass(frozen=True)
@@ -191,22 +178,34 @@ class CommonGenerators:
 def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
     """Generators shared by two diagrams on the same vertex set.
 
-    A shared generator must contain the union of the two arc sets, so a
-    single scan of the universe suffices.  Note the arc-subset relation is
-    sufficient but not necessary for the intersection to be nonempty.
+    A shared generator is a spanning cycle containing the union of the two
+    arc sets, so the union alone decides the answer with no scan of the
+    (n-1)! permutations, and n need not be 10 or less.  A vertex meeting
+    three arcs, or a cycle short of n vertices, admits none; one spanning
+    path or cycle admits one cycle, walked both ways from 1; any other
+    union is a b-diagram whose generators
+    (:func:`enumerate_generators`, capped at ``DEFAULT_CAP``) are shared.
+    The arc-subset relation is sufficient but not necessary for sharing:
+
+    >>> from arcdiagrams.bdiagram import parse_bdiagram
+    >>> shared = common_generators(parse_bdiagram("1 2 | 3"), parse_bdiagram("2 3 | 1"))
+    >>> [str(p) for p in shared.generators], shared.first_in_second
+    (['1 2 3', '1 3 2'], False)
     """
     if b.n != other.n:
         raise SizeMismatch(f"vertex counts differ: {b.n} vs {other.n}")
-    n = b.n
-    if n > ORACLE_MAX_N:
-        raise TooLarge(f"common-generator scan refuses n={n} > {ORACLE_MAX_N}")
-    target = b.arcs() | other.arcs()
-    if n <= 8:
-        shared = tuple(p for p, arcs in _arc_universe(n) if target <= arcs)
-    else:
-        shared = tuple(
-            p for p in all_cyclic_perms(n) if target <= arc_set(p).arcs
-        )
+    try:
+        components = trace_components(b.n, b.arcs() | other.arcs())
+    except ValueError:  # a vertex meets three arcs
+        components = []
+    shared: tuple[CyclicPerm, ...] = ()
+    if len(components) == 1:
+        walk, _ = components[0]
+        at = walk.index(1)
+        first = CyclicPerm(walk[at:] + walk[:at])
+        shared = tuple(sorted((first, first.reverse())))
+    elif components and not any(is_cycle for _, is_cycle in components):
+        shared = enumerate_generators(BDiagram(tuple(walk for walk, _ in components)))
     return CommonGenerators(
         generators=shared,
         first_in_second=b.arcs() <= other.arcs(),

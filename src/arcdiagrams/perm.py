@@ -50,6 +50,60 @@ def arc_text(arcs: Iterable[Arc], isolated: Iterable[int] = ()) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+def trace_components(n: int, arcs: Iterable[Arc]) -> list[tuple[tuple[int, ...], bool]]:
+    """Walk every component of an arc set on 1..n, visiting each vertex once.
+
+    Returns ``(walk, is_cycle)`` pairs in order of each component's smallest
+    vertex.  A path (an isolated vertex included) is walked from its
+    smaller end; a cycle from its smallest vertex towards that vertex's
+    smaller neighbour.  Raises ``ValueError`` when a vertex meets three or
+    more arcs.
+
+    >>> trace_components(5, [(1, 4), (2, 4), (3, 5)])
+    [((1, 4, 2), False), ((3, 5), False)]
+    >>> trace_components(3, [(1, 2), (2, 3), (1, 3)])
+    [((1, 2, 3), True)]
+    """
+    neighbours: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in arcs:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    if max(map(len, neighbours)) > 2:
+        raise ValueError("a vertex meets more than two arcs")
+    seen = [False] * (n + 1)
+    components = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        seen[start] = True
+        walk = [start]
+        is_cycle = False
+        # extend the walk along each arc at start; the second pass (a path
+        # through start) first turns the walk round so start is its end
+        for cur in neighbours[start]:
+            if seen[cur]:
+                break  # the first pass came back round to start
+            walk.reverse()
+            prev = start
+            while True:
+                seen[cur] = True
+                walk.append(cur)
+                ahead = neighbours[cur]
+                if len(ahead) == 1:
+                    break  # a path end
+                prev, cur = cur, (ahead[1] if ahead[0] == prev else ahead[0])
+                if cur == start:
+                    is_cycle = True
+                    break
+        if is_cycle:
+            if walk[1] > walk[-1]:
+                walk[1:] = walk[:0:-1]
+        elif walk[0] > walk[-1]:
+            walk.reverse()
+        components.append((tuple(walk), is_cycle))
+    return components
+
+
 @dataclass(frozen=True, order=True)
 class CyclicPerm:
     """A cyclic permutation of {1..n} in one-line form, first entry 1.
@@ -116,31 +170,12 @@ class CycleDiagram:
     def __post_init__(self):
         if len(self.arcs) != self.n:
             raise ValueError(f"expected {self.n} arcs, got {len(self.arcs)}")
-        degree = Counter()
         for i, j in self.arcs:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"bad arc ({i}, {j}) for n={self.n}")
-            degree[i] += 1
-            degree[j] += 1
-        if any(degree[v] != 2 for v in range(1, self.n + 1)):
-            raise ValueError("every vertex must meet exactly two arcs")
-        if len(self._walk_from(1)) != self.n:
+        components = trace_components(self.n, self.arcs)
+        if len(components) != 1 or not components[0][1]:
             raise ValueError("arcs do not form a single spanning cycle")
-
-    def _walk_from(self, start: int) -> list[int]:
-        # all degrees are 2, so the components are disjoint cycles; walk one
-        neighbours: dict[int, list[int]] = {}
-        for i, j in self.arcs:
-            neighbours.setdefault(i, []).append(j)
-            neighbours.setdefault(j, []).append(i)
-        walk = [start]
-        prev, cur = None, start
-        while True:
-            step = next(v for v in neighbours[cur] if v != prev)
-            if step == start:
-                return walk
-            walk.append(step)
-            prev, cur = cur, step
 
     def sorted_arcs(self) -> tuple[Arc, ...]:
         return tuple(sorted(self.arcs))

@@ -3,9 +3,11 @@
 The helpers here deliberately avoid the library's own code paths where
 they serve as cross-checks: ``value_class_word`` classifies vertices by
 comparing entries with their cyclic neighbours instead of reading the arc
-set, and ``crossing_brute_force`` scans every arc subset.
+set, ``arc_graph_shape`` uses a union-find instead of the library's walker,
+and ``crossing_brute_force`` scans every arc subset.
 """
 
+import itertools
 import random
 
 from arcdiagrams import BDiagram
@@ -26,10 +28,37 @@ def value_class_word(seq):
     return "".join(letter[v] for v in range(1, n + 1))
 
 
+def arc_subsets(n):
+    """Every arc subset of the complete graph on 1..n."""
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(edges)):
+        yield frozenset(e for k, e in enumerate(edges) if mask >> k & 1)
+
+
+def arc_graph_shape(n, arcs):
+    """(degree of each vertex 1..n, has a cycle, component count)."""
+    degree = [0] * (n + 1)
+    root = list(range(n + 1))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    has_cycle = False
+    for i, j in arcs:
+        degree[i] += 1
+        degree[j] += 1
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            has_cycle = True
+        root[ri] = rj
+    components = sum(1 for v in range(1, n + 1) if find(v) == v)
+    return degree[1:], has_cycle, components
+
+
 def crossing_brute_force(b):
     """Largest mutually-crossing arc family by scanning all subsets."""
-    import itertools
-
     arcs = sorted(b.arcs())
     best = 1 if arcs else 0
     for size in range(2, len(arcs) + 1):

@@ -29,7 +29,8 @@ from arcdiagrams import (
     transpose_labels,
     validate_block_word,
 )
-from conftest import crossing_brute_force, random_bdiagram
+from arcdiagrams.bdiagram import _blocks_from_arcs
+from conftest import arc_graph_shape, arc_subsets, crossing_brute_force, random_bdiagram
 
 BRAID = "3 1 6 | 2 7 8 | 4 5"
 SPARSE = "1 3 | 2 | 4 8 | 5 6 | 7"
@@ -190,6 +191,21 @@ class TestCutSet:
             for b in all_bdiagrams(n):
                 for p in enumerate_generators(b):
                     assert len(cut_set(p, b)) == b.block_count
+
+
+class TestBlocksFromArcs:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_exhaustive_against_union_find(self, n):
+        for arcs in arc_subsets(n):
+            degrees, has_cycle, components = arc_graph_shape(n, arcs)
+            representable = max(degrees) <= 2 and not has_cycle and components > 1
+            try:
+                b = _blocks_from_arcs(n, arcs)
+            except NotRepresentable:
+                assert not representable, arcs
+            else:
+                assert representable, arcs
+                assert b.arcs() == arcs and b == b.normalized()
 
 
 class TestComplement:

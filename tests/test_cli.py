@@ -134,6 +134,15 @@ class TestGenerators:
         code, out, _ = run(capsys, "generators", "--count", "1 2 | 3")
         assert code == 0 and out.strip() == "2"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [(), *(("--list", "--method", m) for m in ("blocks", "table", "oracle"))],
+    )
+    def test_two_vertices(self, capsys, flags):
+        code, out, err = run(capsys, "generators", *flags, "1 | 2")
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestDiagramCommands:
     def test_cutset(self, capsys):

@@ -2,10 +2,10 @@ import doctest
 
 import pytest
 
-from arcdiagrams import bdiagram, inversion, perm, words
+from arcdiagrams import bdiagram, generation, inversion, perm, words
 
 
-@pytest.mark.parametrize("module", [perm, words, bdiagram, inversion])
+@pytest.mark.parametrize("module", [perm, words, bdiagram, inversion, generation])
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0

@@ -6,7 +6,9 @@ from arcdiagrams import (
     CapExceeded,
     SizeMismatch,
     TooLarge,
+    TooSmall,
     all_bdiagrams,
+    all_cyclic_perms,
     arc_set,
     canonical_generator,
     common_generators,
@@ -72,6 +74,13 @@ class TestCount:
     )
     def test_golden(self, diagram, expected):
         assert count_generators(parse_bdiagram(diagram)) == expected
+
+    @pytest.mark.parametrize(
+        "route", [count_generators, enumerate_generators, complete_table]
+    )
+    def test_two_vertices(self, route):
+        with pytest.raises(TooSmall):
+            route(parse_bdiagram("1 | 2"))
 
 
 class TestEnumerate:
@@ -193,3 +202,20 @@ class TestCommonGenerators:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             common_generators(parse_bdiagram("1 2 | 3"), parse_bdiagram("1 2 | 3 | 4"))
+
+    def test_exhaustive_n5_against_universe(self):
+        universe = [(p, arc_set(p).arcs) for p in all_cyclic_perms(5)]
+        diagrams = list(all_bdiagrams(5))
+        for b in diagrams:
+            for other in diagrams:
+                union = b.arcs() | other.arcs()
+                expected = tuple(p for p, arcs in universe if union <= arcs)
+                assert common_generators(b, other).generators == expected, (b, other)
+
+    def test_beyond_ten_vertices(self):
+        wide = parse_bdiagram("1 7 | 2 8 | 3 9 | 4 10 | 5 11 | 6 12")
+        narrow = parse_bdiagram("1 7 2 8 3 9 | 4 10 5 11 6 12")
+        result = common_generators(wide, narrow)
+        assert result.generators == enumerate_generators(narrow)
+        assert len(result.generators) == 4
+        assert result.first_in_second and not result.second_in_first

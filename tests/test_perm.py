@@ -12,7 +12,7 @@ from arcdiagrams import (
     classify,
     parse_perm,
 )
-from conftest import value_class_word
+from conftest import arc_graph_shape, arc_subsets, value_class_word
 
 
 class TestParse:
@@ -110,6 +110,17 @@ class TestCycleDiagramValidation:
         )
         with pytest.raises(ValueError):
             CycleDiagram(6, two_triangles)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_accepts_exactly_spanning_cycles(self, n):
+        for arcs in arc_subsets(n):
+            degrees, _, components = arc_graph_shape(n, arcs)
+            try:
+                CycleDiagram(n, arcs)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (components == 1 and set(degrees) == {2}), arcs
 
 
 class TestClassify:
