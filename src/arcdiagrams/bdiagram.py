@@ -176,8 +176,8 @@ def validate_block_word(word: str) -> WordCheck:
     The degree test (no negative prefix sum, zero total) is necessary but
     not sufficient: ``rkR`` passes it yet would force three arcs on three
     vertices, a cycle.  After the degree, endpoint and step-path screens a
-    small backtracking search settles realizability and produces a
-    canonical witness.
+    sweep over the letters settles realizability in O(n^2) and produces a
+    canonical witness (see :func:`_realize`).
     """
     degrees = degree_vector(word)
     running = 0
@@ -198,52 +198,110 @@ def validate_block_word(word: str) -> WordCheck:
     return WordCheck(True, witness=witness)
 
 
+_OPENS = {"r": 2, "a": 1, "k": 1}
+_CLOSES = {"R": 2, "A": 1, "k": 1}
+
+
 def _realize(word: str) -> BDiagram | None:
     """First b-diagram realizing ``word`` under an ordered search, or None.
 
     Scans vertices left to right; at each vertex the arcs ending there are
-    matched to open starts, smallest candidates first, skipping matches
-    that would duplicate a vertex pair or close a cycle.
+    matched to open stubs, smallest candidates first, skipping matches
+    that would duplicate a vertex pair or close a cycle.  The first match
+    whose sweep state :func:`_feasibility_table` marks completable is
+    taken, so the search never backtracks.  Each open vertex knows the
+    other open stub of its partial path (``mate``), which makes a
+    candidate's next state an O(1) lookup.
     """
     n = len(word)
-    opens = {"r": 2, "a": 1, "k": 1}
-    closes = {"R": 2, "A": 1, "k": 1}
-    start_slots = [0] + [opens.get(c, 0) for c in word]
-    end_slots = [0] + [closes.get(c, 0) for c in word]
-    if sum(start_slots) >= n - 1:
-        # n-1 arcs would be one block of all n vertices; n arcs a cycle
-        return None
+    table = _feasibility_table(word)
 
+    def fits(i: int, t2: int, f: int) -> bool:
+        return bool(table[i][min(f, 2)] >> t2 & 1)
+
+    if not fits(0, 0, 0):
+        return None
+    # mate[u]: vertex holding the other open stub of u's path -- u itself
+    # for a lone r, None when u holds the only open stub of its path
+    mate: list[int | None] = [None] * (n + 1)
+    stubs = [0] * (n + 1)
+    pool: list[int] = []  # vertices with open stubs, ascending
     arcs: list[Arc] = []
+    t2 = f = opens = 0
 
-    def place(v: int, open_count: dict[int, int], comp: dict[int, int]) -> bool:
-        if v > n:
-            return True
-        pool = sorted(u for u in range(1, v) if open_count[u] > 0)
-        for chosen in itertools.combinations(pool, end_slots[v]):
-            roots = [comp[u] for u in chosen]
-            if len(set(roots)) != len(roots) or comp[v] in roots:
-                continue  # duplicate pair or cycle
-            next_open = dict(open_count)
-            next_comp = dict(comp)
-            for u in chosen:
-                next_open[u] -= 1
-                src = next_comp[u]
-                for w in range(1, n + 1):
-                    if next_comp[w] == src:
-                        next_comp[w] = next_comp[v]
-                arcs.append((u, v))
-            next_open[v] = start_slots[v]
-            if place(v + 1, next_open, next_comp):
-                return True
-            for _ in chosen:
-                arcs.pop()
-        return False
+    def after(chosen: tuple[int, ...]) -> tuple[int, int]:
+        """(t2, f) once the stubs at ``chosen`` close on the current vertex."""
+        twos = sum(mate[u] is not None for u in chosen)
+        left = twos + opens  # open stubs on the path through the vertex
+        return t2 - twos + (left == 2), f + (left == 0)
 
-    found = place(1, {v: 0 for v in range(1, n + 1)}, {v: v for v in range(1, n + 1)})
-    if not found:
-        return None
+    for v, letter in enumerate(word, 1):
+        opens = _OPENS.get(letter, 0)
+        if _CLOSES.get(letter) == 2:
+            choices = (
+                (u1, u2)
+                for i, u1 in enumerate(pool)
+                # every pair through a two-stub path lands on (t2 - 1, f)
+                if mate[u1] is None or fits(v, t2 - 1, f)
+                for u2 in pool[i + 1 :]
+                if u2 != mate[u1]  # two stubs of one path would close a cycle
+            )
+        else:
+            choices = itertools.combinations(pool, _CLOSES.get(letter, 0))
+        chosen = next(c for c in choices if fits(v, *after(c)))
+        t2, f = after(chosen)
+        ends = [mate[u] for u in chosen if mate[u] is not None] + [v] * opens
+        for u in chosen:
+            arcs.append((u, v))
+            stubs[u] -= 1
+        if len(ends) == 2:
+            mate[ends[0]], mate[ends[1]] = ends[1], ends[0]
+        elif ends:
+            mate[ends[0]] = None
+        stubs[v] = opens
+        pool = [u for u in pool if stubs[u]] + [v] * (opens > 0)
     return _blocks_from_arcs(n, frozenset(arcs))
+
+
+def _feasibility_table(word: str) -> list[tuple[int, int, int]]:
+    """Which sweep states can still be completed, position by position.
+
+    After the first i letters the open arc stubs number the prefix degree
+    sum s; they sit on partial paths holding two stubs (t2 of them) or one
+    (s - 2*t2 of them), and f components are finished, counted up to 2.
+    ``table[i][f]`` has bit t2 set when the remaining letters can close
+    every stub without a cycle and leave at least two components.  Paths
+    with equal stub counts are interchangeable, so this state is exact.
+    The table is filled backward from the end, three bit masks of at most
+    n bits per letter: O(n^2) bit operations in all.
+    """
+    n = len(word)
+    prefix = list(itertools.accumulate(degree_vector(word), initial=0))
+
+    def upto(t2: int) -> int:
+        return (1 << t2 + 1) - 1  # bits 0..t2; empty when t2 == -1
+
+    table = [(0, 0, 0)] * n + [(0, 0, 1)]
+    for i in range(n - 1, -1, -1):
+        letter, nxt, s = word[i], table[i + 1], prefix[i]
+        row = []
+        for f in range(3):
+            same, done = nxt[f], nxt[min(f + 1, 2)]
+            if letter == "e":
+                bits = done
+            elif letter == "a":
+                bits = same
+            elif letter == "r":
+                bits = same >> 1
+            elif letter == "k":  # needs a stub to land on
+                bits = same if s else 0
+            elif letter == "A":  # a two-stub path keeps one, or a one-stub path ends
+                bits = same << 1 | done & upto((s - 1) // 2)
+            else:  # R: two one-stub paths end, or a two-stub path joins another
+                bits = done & upto((s - 2) // 2) | same << 1 & ~(2 if s < 3 else 0)
+            row.append(bits & upto(s // 2))
+        table[i] = tuple(row)
+    return table
 
 
 def _blocks_from_arcs(n: int, arcs: frozenset[Arc]) -> BDiagram:

@@ -263,7 +263,7 @@ def _cmd_classify(args) -> int:
 def _cmd_invert(args) -> int:
     # run the oracle first so its size guard fires before the search starts
     oracle = perms_from_word_oracle(args.word) if args.oracle else None
-    perms = perms_from_word(args.word)
+    perms = perms_from_word(args.word, args.cap)
     shown = canonical_half(perms) if args.canonical_half else perms
     payload = {"word": args.word, "perms": [list(p.seq) for p in shown]}
     lines = [str(p) for p in shown]

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import TooLarge
+from .errors import CapExceeded, TooLarge
+from .generation import DEFAULT_CAP
 from .perm import Classification, CyclicPerm, all_cyclic_perms
 from .words import check_cycle_word, cycle_word
 
@@ -55,12 +56,13 @@ def neighbor_candidates(cls: Classification) -> dict[int, frozenset[int]]:
     return table
 
 
-def perms_from_word(word: str) -> tuple[CyclicPerm, ...]:
+def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """All cyclic permutations whose word is ``word``, in lexicographic order.
 
     The result is closed under reversal.  Raises ``NotAWord`` when the
     input breaks the word rules; a valid word with no matches returns an
-    empty tuple.
+    empty tuple.  Raises ``CapExceeded`` as soon as a permutation beyond
+    the first ``cap`` is found.
     """
     check_cycle_word(word)
     n = len(word)
@@ -103,6 +105,10 @@ def perms_from_word(word: str) -> tuple[CyclicPerm, ...]:
                 candidate = CyclicPerm(tuple(seq))
                 if cycle_word(candidate) == word:
                     results.append(candidate)
+                    if len(results) > cap:
+                        raise CapExceeded(
+                            f"more than {cap} permutations have the word {word}"
+                        )
                 give_back(last, 1)
             return
         for j in candidates[last]:

@@ -1,9 +1,14 @@
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcdiagrams import (
     AlreadyPresent,
+    BDiagram,
     BlockTooLong,
     DegreeExceeded,
     EmptyBlock,
@@ -30,6 +35,7 @@ from arcdiagrams import (
     validate_block_word,
 )
 from arcdiagrams.bdiagram import _blocks_from_arcs
+from arcdiagrams.cli import main
 from conftest import arc_graph_shape, arc_subsets, crossing_brute_force, random_bdiagram
 
 BRAID = "3 1 6 | 2 7 8 | 4 5"
@@ -161,6 +167,67 @@ class TestValidateBlockWord:
                 result = validate_block_word(block_word(b))
                 assert result.ok
                 assert block_word(result.witness) == block_word(b)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_verdict_matches_diagram_words(self, n):
+        words = {block_word(b) for b in all_bdiagrams(n)}
+        for word in map("".join, itertools.product("aAekrR", repeat=n)):
+            result = validate_block_word(word)
+            assert result.ok == (word in words), word
+            if result.ok:
+                assert block_word(result.witness) == word
+
+
+class TestRealizationScale:
+    """Words that once sent the realization search into a hang or a crash."""
+
+    def test_deep_dead_end_is_fast(self):
+        start = time.perf_counter()
+        result = validate_block_word("rrkkearrARaRArRReAAeaArR")
+        elapsed = time.perf_counter() - start
+        assert result.reason is InvalidReason.UNREALIZABLE
+        assert elapsed < 1.0
+
+    def test_long_word_valid(self):
+        result = validate_block_word("aA" * 600)
+        assert result.ok and block_word(result.witness) == "aA" * 600
+
+    def test_long_word_with_cycle(self):
+        result = validate_block_word("aA" * 600 + "rkR")
+        assert result.reason is InvalidReason.UNREALIZABLE
+
+    def test_long_word_cli(self, capsys):
+        code = main(["validate-word", "aA" * 600])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.out.startswith("Valid")
+        assert "Traceback" not in captured.err
+
+
+@st.composite
+def bdiagrams(draw):
+    """Shuffled labels on up to 40 vertices cut into at least two blocks."""
+    n = draw(st.integers(2, 40))
+    labels = draw(st.permutations(range(1, n + 1)))
+    cuts = draw(st.sets(st.integers(1, n - 1), min_size=1))
+    bounds = [0, *sorted(cuts), n]
+    return BDiagram(tuple(tuple(labels[i:j]) for i, j in zip(bounds, bounds[1:])))
+
+
+class TestRealizationProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(bdiagrams())
+    def test_word_realizes_itself(self, b):
+        word = block_word(b)
+        result = validate_block_word(word)
+        assert result.ok and block_word(result.witness) == word
+
+    @settings(derandomize=True, deadline=None)
+    @given(bdiagrams())
+    def test_appended_rkR_closes_a_cycle(self, b):
+        # no arc of the prefix reaches the last three vertices, so r, k and
+        # R can only be joined to each other: three arcs on three vertices
+        result = validate_block_word(block_word(b) + "rkR")
+        assert result.reason is InvalidReason.UNREALIZABLE
 
 
 class TestCutSet:

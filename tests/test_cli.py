@@ -78,6 +78,15 @@ class TestInvert:
         code, _, err = run(capsys, "invert", "--oracle", word)
         assert code == 3
 
+    def test_cap(self, capsys):
+        code, out, err = run(capsys, "invert", "rrkkkkkkRR", "--cap", "100")
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+
+    def test_cap_at_fibre_size(self, capsys):
+        code, out, _ = run(capsys, "invert", "rrkkkkkkRR", "--cap", "8192")
+        assert code == 0 and len(out.splitlines()) == 8192
+
     def test_json_round_trip(self, capsys):
         _, out, _ = run(capsys, "invert", "--json", "rkR")
         payload = json.loads(out)

@@ -1,6 +1,7 @@
 import pytest
 
 from arcdiagrams import (
+    CapExceeded,
     NotAWord,
     TooLarge,
     all_cyclic_perms,
@@ -80,6 +81,11 @@ class TestPermsFromWord:
         for bad in ("rR", "rrkR", "rkRrkR"):
             with pytest.raises(NotAWord):
                 perms_from_word(bad)
+
+    def test_cap(self):
+        with pytest.raises(CapExceeded):
+            perms_from_word(MIXED_WORD, cap=7)
+        assert len(perms_from_word(MIXED_WORD, cap=8)) == 8
 
     def test_sound_and_reverse_closed(self):
         for word in (MIXED_WORD, DYCK_WORD, "rrkkRR"):
