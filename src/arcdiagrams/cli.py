@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from math import factorial
 
 from .bdiagram import (
     add_arc,
@@ -22,7 +23,7 @@ from .bdiagram import (
     transpose_labels,
     validate_block_word,
 )
-from .errors import DiagramError, TooLarge, TooSmall
+from .errors import CapExceeded, DiagramError, TooLarge, TooSmall
 from .generation import (
     DEFAULT_CAP,
     complete_table,
@@ -164,18 +165,22 @@ class CensusReport:
         return self.dyck_count == self.dyck_expected
 
 
-def census_report(n: int) -> CensusReport:
+def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
     """Exhaustively check the word counts over all cyclic permutations of [n].
 
     Confirms that the number of distinct words matches the Motzkin
     recurrence and the keratoid-free count the Catalan recurrence, and
     lists the words whose permutation sets do not split into "second entry
-    equals the smallest non-left-ramphoid vertex" plus reversals.
+    equals the smallest non-left-ramphoid vertex" plus reversals.  Raises
+    :class:`CapExceeded` before enumerating when (n-1)! exceeds ``cap``.
     """
     if n < 3:
         raise TooSmall(f"census needs n >= 3, got {n}")
     if n > CENSUS_MAX_N:
         raise TooLarge(f"census refuses n={n} > {CENSUS_MAX_N}")
+    expected = factorial(n - 1)
+    if expected > cap:
+        raise CapExceeded(f"{expected} permutations exceed the cap {cap}")
     groups: dict[str, list[tuple[int, ...]]] = {}
     count = 0
     for p in all_cyclic_perms(n):
@@ -304,7 +309,7 @@ def _cmd_generators(args) -> int:
     methods = {
         "blocks": lambda: enumerate_generators(b, args.cap),
         "table": lambda: complete_table(b, args.cap),
-        "oracle": lambda: generators_oracle(b),
+        "oracle": lambda: generators_oracle(b, args.cap),
     }
     perms = methods[args.method]()
     payload = {
@@ -367,7 +372,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    report = census_report(args.n)
+    report = census_report(args.n, args.cap)
     payload = {
         "n": report.n,
         "permutations": report.perm_count,

@@ -84,11 +84,14 @@ def _arc_universe(n: int) -> tuple[tuple[CyclicPerm, frozenset[Arc]], ...]:
     return tuple((p, arc_set(p).arcs) for p in all_cyclic_perms(n))
 
 
-def generators_oracle(b: BDiagram) -> tuple[CyclicPerm, ...]:
+def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """Brute force: filter every cyclic permutation by arc containment."""
     n = b.n
     if n > ORACLE_MAX_N:
         raise TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
+    expected = count_generators(b)
+    if expected > cap:
+        raise CapExceeded(f"{expected} generators exceed the cap {cap}")
     target = b.arcs()
     if n <= 8:
         return tuple(p for p, arcs in _arc_universe(n) if target <= arcs)

@@ -22,7 +22,6 @@ arc diagram.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -116,7 +115,7 @@ class CyclicPerm:
 
     def __post_init__(self):
         n = len(self.seq)
-        if set(self.seq) != set(range(1, n + 1)) or len(set(self.seq)) != n:
+        if set(self.seq) != set(range(1, n + 1)):  # n entries, so none repeats
             raise NotAPermutation(f"not a permutation of 1..{n}: {self.seq}")
         if n < 3:
             raise TooSmall(f"need at least 3 vertices, got {n}")
@@ -190,12 +189,12 @@ def arc_set(p: CyclicPerm) -> CycleDiagram:
     The closing pair (last entry, first entry) is included, so there are n
     arcs.  A permutation and its reverse give the same diagram.
     """
-    n = p.n
-    pairs = frozenset(
-        (min(p.seq[i], p.seq[(i + 1) % n]), max(p.seq[i], p.seq[(i + 1) % n]))
-        for i in range(n)
-    )
-    return CycleDiagram(n, pairs)
+    pairs = []
+    prev = p.seq[-1]
+    for v in p.seq:
+        pairs.append((prev, v) if prev < v else (v, prev))
+        prev = v
+    return CycleDiagram(p.n, frozenset(pairs))
 
 
 @dataclass(frozen=True)
@@ -209,10 +208,9 @@ class Classification:
 
     def __post_init__(self):
         n = len(self.R) + len(self.Rbar) + len(self.K)
-        if self.R | self.Rbar | self.K != set(range(1, n + 1)):
+        # the union has at most n members, so holding 1..n makes them disjoint
+        if not (self.R | self.Rbar | self.K).issuperset(range(1, n + 1)):
             raise ValueError("classes must partition 1..n")
-        if self.R & self.Rbar or self.R & self.K or self.Rbar & self.K:
-            raise ValueError("classes must be disjoint")
         if len(self.R) != len(self.Rbar):
             raise ValueError("left and right ramphoids must be equinumerous")
 
@@ -222,17 +220,18 @@ class Classification:
 
 
 def classify(diagram: CycleDiagram) -> Classification:
-    """Classify vertices by how often they start or end an arc.
+    """Classify vertices by how many of their two arcs open there.
 
     A vertex that is the smaller endpoint of both its arcs is a left
-    ramphoid, the larger endpoint of both is a right ramphoid, and one of
-    each makes a keratoid.
+    ramphoid, of neither a right ramphoid, and of one a keratoid.
     """
-    starts = Counter(i for i, _ in diagram.arcs)
-    ends = Counter(j for _, j in diagram.arcs)
-    R = frozenset(v for v in range(1, diagram.n + 1) if starts[v] == 2)
-    Rbar = frozenset(v for v in range(1, diagram.n + 1) if ends[v] == 2)
-    K = frozenset(range(1, diagram.n + 1)) - R - Rbar
+    opens = [0] * (diagram.n + 1)
+    for i, _ in diagram.arcs:
+        opens[i] += 1
+    by_opens = ([], [], [])  # vertices where 0, 1 or 2 arcs open
+    for v in range(1, diagram.n + 1):
+        by_opens[opens[v]].append(v)
+    Rbar, K, R = map(frozenset, by_opens)
     return Classification(R, Rbar, K)
 
 

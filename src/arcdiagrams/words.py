@@ -56,10 +56,12 @@ def _check_letters(word: str, alphabet: str) -> None:
 
 def word_of_classes(cls: Classification) -> str:
     """Letter per vertex in natural order: r, R or k by class."""
-    return "".join(
-        "r" if v in cls.R else "R" if v in cls.Rbar else "k"
-        for v in range(1, cls.n + 1)
-    )
+    letters = ["k"] * cls.n
+    for v in cls.R:
+        letters[v - 1] = "r"
+    for v in cls.Rbar:
+        letters[v - 1] = "R"
+    return "".join(letters)
 
 
 def cycle_word(p: CyclicPerm) -> str:
@@ -138,9 +140,10 @@ def dyck_parity_word(p: CyclicPerm) -> str:
     """
     if classify(arc_set(p)).K:
         raise HasKeratoids(f"{p} has keratoid vertices")
-    return "".join(
-        "r" if p.position_of(v) % 2 == 1 else "R" for v in range(1, p.n + 1)
-    )
+    letters = [""] * p.n
+    for i, v in enumerate(p.seq):
+        letters[v - 1] = "R" if i % 2 else "r"  # i is the 0-based position
+    return "".join(letters)
 
 
 def degree_vector(word: str) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcdiagrams import parse_bdiagram, parse_perm
 from arcdiagrams.cli import main, render_ascii, render_svg
@@ -139,6 +141,17 @@ class TestGenerators:
         )
         assert code == 3
 
+    def test_oracle_cap(self, capsys):
+        seven = "1 | 2 | 3 | 4 | 5 | 6 | 7"
+        code, out, err = run(
+            capsys, "generators", seven, "--list", "--method", "oracle", "--cap", "5"
+        )
+        assert code == 3 and out == "" and err.startswith("error:")
+        code, out, _ = run(
+            capsys, "generators", seven, "--list", "--method", "oracle", "--cap", "720"
+        )
+        assert code == 0 and len(out.splitlines()) == 720
+
     def test_tiny_count(self, capsys):
         code, out, _ = run(capsys, "generators", "--count", "1 2 | 3")
         assert code == 0 and out.strip() == "2"
@@ -254,6 +267,17 @@ class TestCensus:
         code, _, err = run(capsys, "census", "2")
         assert code == 1
 
+    def test_cap_flag(self, capsys):
+        code, out, err = run(capsys, "census", "9", "--cap", "5")
+        assert code == 3 and out == "" and err.startswith("error:")
+
+    def test_cap_at_permutation_count(self, capsys):
+        # 5! = 120 cyclic permutations of [6]
+        code, out, _ = run(capsys, "census", "6", "--cap", "120")
+        assert code == 0 and out.startswith("n=6 cyclic permutations=120")
+        code, out, _ = run(capsys, "census", "6", "--cap", "119")
+        assert code == 3 and out == ""
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -264,3 +288,75 @@ class TestUsage:
 
     def test_missing_argument(self, capsys):
         assert main(["classify"]) == 1
+
+
+FUZZ_TOKENS = {
+    "perm": ("1 3 2", "1 3 2 7 8 4 5 6", "1 2 3 8 7 5 4 6", "1 2", "2 1 3", "1 2 2"),
+    "bdiagram": (
+        "1 | 2 | 3", "1 2 3 | 4 7 8 | 5 6", "3 1 6 | 2 7 8 | 4 5", "1 2 | 3",
+        "1 | 2", "1 | 1", "|",
+    ),
+    "word": ("rkR", "rrkkRR", "rrRrkRkR", "rkRrkR", "rR", "Rr"),
+    "bword": ("aAe", "raAaAAkA", "aAaAaArkR", "rkR", "aaa"),
+    "number": ("0", "-1", "2", "3", "4", "6", "7", "9", "10", "12"),
+    "op": ("add", "remove", "transpose"),
+    "junk": ("", " ", "x", "1 x 2", "1e3", "--bogus", "--", "--cap"),
+}
+# subcommand -> (the kind of each positional argument, its own flags)
+FUZZ_COMMANDS = {
+    "classify": (("perm",), ()),
+    "invert": (("word",), ("--all", "--canonical-half", "--oracle")),
+    "bword": (("bdiagram",), ()),
+    "validate-word": (("bword",), ()),
+    "generators": (
+        ("bdiagram",),
+        ("--list", "--count", "--method oracle", "--method table", "--method blocks"),
+    ),
+    "cutset": (("perm", "bdiagram"), ()),
+    "complement": (("perm", "bdiagram"), ()),
+    "crossing": (("bdiagram",), ()),
+    "inflate": (("bword",), ()),
+    "edit": (("op", "bdiagram", "number", "number"), ()),
+    "render": (("word",), ("--kind perm", "--kind bword", "--format svg")),
+    "census": (("number",), ()),
+    "frobnicate": (("junk",), ()),
+}
+COMMON_FLAGS = ("--json", "--help")
+ALL_FLAGS = sorted(
+    {f for _, own in FUZZ_COMMANDS.values() for f in own}
+    | set(COMMON_FLAGS)
+    | {"--bogus", "--method x", "--kind"}
+)
+ANY_TOKEN = st.sampled_from(sorted({t for pool in FUZZ_TOKENS.values() for t in pool}))
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand, then positionals and flags drawn mostly from the ones it
+    takes and otherwise from every pooled token; the positional count is
+    sometimes one off."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    kinds, own_flags = FUZZ_COMMANDS[command]
+    n = len(kinds)
+    kinds = (list(kinds) + ["junk"])[: draw(st.sampled_from((n, n, n, n - 1, n + 1)))]
+    values = [
+        draw(st.one_of(st.sampled_from(FUZZ_TOKENS[kind]), ANY_TOKEN)) for kind in kinds
+    ]
+    flags = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(own_flags + COMMON_FLAGS), st.sampled_from(ALL_FLAGS)
+            ),
+            max_size=2,
+        )
+    )
+    flag_tokens = [t for flag in flags for t in flag.split()]
+    return [command, *values, *flag_tokens, "--cap", "1000"]
+
+
+class TestFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(fuzz_argv())
+    def test_exit_codes(self, argv):
+        # an exception escaping main fails the test; the cap keeps every run short
+        assert main(argv) in (0, 1, 2, 3)

@@ -132,6 +132,12 @@ class TestOracle:
         with pytest.raises(TooLarge):
             generators_oracle(parse_bdiagram(blocks))
 
+    def test_cap(self):
+        b = parse_bdiagram(THREE_BLOCKS)
+        with pytest.raises(CapExceeded):
+            generators_oracle(b, cap=15)
+        assert len(generators_oracle(b, cap=16)) == 16
+
 
 class TestCompleteTable:
     def test_fig16(self):

@@ -1,6 +1,7 @@
 import pytest
 
 from arcdiagrams import (
+    Classification,
     CycleDiagram,
     CyclicPerm,
     NotAPermutation,
@@ -10,6 +11,7 @@ from arcdiagrams import (
     arc_set,
     arc_text,
     classify,
+    cycle_word,
     parse_perm,
 )
 from conftest import arc_graph_shape, arc_subsets, value_class_word
@@ -25,10 +27,14 @@ class TestParse:
     def test_duplicate(self):
         with pytest.raises(NotAPermutation):
             parse_perm("1 3 2 2")
+        with pytest.raises(NotAPermutation):
+            CyclicPerm((1, 2, 2))
 
     def test_missing_value(self):
         with pytest.raises(NotAPermutation):
             parse_perm("1 3 5")
+        with pytest.raises(NotAPermutation):
+            CyclicPerm((1, 2, 4))
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
@@ -94,6 +100,13 @@ class TestArcSet:
         # the wrap-around pair (last entry, 1) must be an arc
         assert (1, 6) in arc_set(parse_perm("1 3 2 7 8 4 5 6")).arcs
 
+    def test_exhaustive_adjacent_pairs(self):
+        for n in range(3, 9):
+            for p in all_cyclic_perms(n):
+                seq = p.seq
+                pairs = {tuple(sorted((seq[i - 1], seq[i]))) for i in range(n)}
+                assert arc_set(p).arcs == pairs
+
 
 class TestCycleDiagramValidation:
     def test_wrong_count(self):
@@ -151,14 +164,33 @@ class TestClassify:
 
     def test_against_value_oracle(self):
         # independent route: compare entries with their cyclic neighbours
-        for n in range(3, 8):
+        for n in range(3, 9):
             for p in all_cyclic_perms(n):
                 cls = classify(arc_set(p))
                 word = "".join(
                     "r" if v in cls.R else "R" if v in cls.Rbar else "k"
                     for v in range(1, n + 1)
                 )
-                assert word == value_class_word(p.seq)
+                assert word == cycle_word(p) == value_class_word(p.seq)
+
+
+class TestClassificationValidation:
+    def test_accepts_partition(self):
+        cls = Classification(frozenset({1}), frozenset({3}), frozenset({2}))
+        assert cls.n == 3
+
+    @pytest.mark.parametrize(
+        "R, Rbar, K",
+        [
+            ({1}, {1}, {2}),  # overlapping classes
+            ({1, 2}, {2, 4}, set()),  # overlapping classes
+            ({1}, {3}, {4}),  # vertex 2 missing
+            ({1, 2}, {4}, {3}),  # |R| != |Rbar|
+        ],
+    )
+    def test_rejects(self, R, Rbar, K):
+        with pytest.raises(ValueError):
+            Classification(frozenset(R), frozenset(Rbar), frozenset(K))
 
 
 class TestEnumeration:
