@@ -62,6 +62,7 @@ from .generation import (
 from .inversion import (
     canonical_half,
     classes_from_word,
+    count_perms_from_word,
     neighbor_candidates,
     perms_from_word,
     perms_from_word_oracle,

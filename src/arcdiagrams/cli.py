@@ -10,7 +10,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
+from typing import Iterable
 
 from .bdiagram import (
     add_arc,
@@ -237,7 +239,8 @@ def census_lines(report: CensusReport) -> list[str]:
 
 # ----------------------------------------------------------------- commands
 
-def _emit(args, payload: dict, lines: list[str]) -> int:
+def _emit(args, payload: dict, lines: Iterable[str]) -> int:
+    # ``lines`` may be lazy: it is consumed only when printed as text
     if args.json:
         print(json.dumps(payload))
     else:
@@ -267,15 +270,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_invert(args) -> int:
     # run the oracle first so its size guard fires before the search starts
-    oracle = perms_from_word_oracle(args.word) if args.oracle else None
+    oracle = perms_from_word_oracle(args.word, args.cap) if args.oracle else None
     perms = perms_from_word(args.word, args.cap)
     shown = canonical_half(perms) if args.canonical_half else perms
     payload = {"word": args.word, "perms": [list(p.seq) for p in shown]}
-    lines = [str(p) for p in shown]
+    lines: Iterable[str] = map(str, shown)
     if oracle is not None:
         status = "MATCH" if oracle == perms else "MISMATCH"
         payload["oracle"] = status
-        lines.append(f"oracle: {status}")
+        lines = chain(lines, [f"oracle: {status}"])
     return _emit(args, payload, lines)
 
 
@@ -317,7 +320,7 @@ def _cmd_generators(args) -> int:
         "method": args.method,
         "perms": [list(p.seq) for p in perms],
     }
-    return _emit(args, payload, [str(p) for p in perms])
+    return _emit(args, payload, map(str, perms))
 
 
 def _cmd_cutset(args) -> int:

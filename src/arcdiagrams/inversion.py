@@ -4,9 +4,12 @@ The word-to-permutation map is many-to-one, so inverting a word means
 enumerating a set.  The search walks the cycle vertex by vertex: from a
 left ramphoid it may only step to a larger right-ramphoid or keratoid
 vertex, from a right ramphoid only to a smaller left-ramphoid or keratoid
-vertex, and a keratoid allows both directions.  Per-vertex budgets (two
-larger neighbours for r, two smaller for R, one of each for k) prune the
-rest.
+vertex, and a keratoid allows both directions.  A vertex's class also
+fixes on which side its next neighbour lies (larger after r, smaller after
+R, opposite to the previous neighbour after k), which prunes the rest.
+Each finished cycle is checked by reading its word off the sequence.
+``count_perms_from_word`` sizes the set by a left-to-right dynamic
+program, so an over-cap word is refused before any search.
 
 ``perms_from_word_oracle`` is the independent check: it filters the full
 universe of (n-1)! permutations by their word and must agree with the
@@ -15,7 +18,9 @@ search everywhere.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import defaultdict
+from math import factorial
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, TooLarge
 from .generation import DEFAULT_CAP
@@ -56,83 +61,136 @@ def neighbor_candidates(cls: Classification) -> dict[int, frozenset[int]]:
     return table
 
 
+def sequence_word(seq: Sequence[int]) -> str:
+    """Word of a cyclic sequence read off its entries' cyclic neighbours.
+
+    Vertex v is ``r`` when it is smaller than both of its neighbours in
+    ``seq``, ``R`` when larger than both, and ``k`` otherwise: the same
+    word ``cycle_word`` reads off the arc set, in one pass and without
+    building the diagram.
+
+    >>> sequence_word((1, 3, 2, 7, 8, 4, 5, 6))
+    'rrRrkRkR'
+    """
+    letters = ["k"] * len(seq)
+    prev, cur = seq[-2], seq[-1]
+    for nxt in seq:
+        if cur < prev and cur < nxt:
+            letters[cur - 1] = "r"
+        elif cur > prev and cur > nxt:
+            letters[cur - 1] = "R"
+        prev, cur = cur, nxt
+    return "".join(letters)
+
+
+def count_perms_from_word(word: str) -> int:
+    """Number of cyclic permutations whose word is ``word``, without listing them.
+
+    Sweeps the vertices left to right.  Before each vertex the arcs already
+    drawn form k partial paths whose two ends still wait for an arc to a
+    later vertex; s of those paths are a lone ``r``, whose two waiting arcs
+    are interchangeable.  An ``r`` starts a lone path; a ``k`` takes one
+    waiting end (s ways on a lone ``r``, 2(k-s) on a longer path) and waits
+    again itself; an ``R`` joins the ends of two distinct paths; the final
+    ``R`` closes the one path left.  Each cycle is counted once, and two
+    permutations walk it.  Raises ``NotAWord`` like :func:`perms_from_word`.
+
+    >>> count_perms_from_word("rkrRkR")
+    8
+    >>> count_perms_from_word("rrkkkkkkkkkkkkkkRR")
+    536870912
+    """
+    check_cycle_word(word)
+    states = {(0, 0): 1}  # (k, s) -> number of ways
+    for letter in word[:-1]:
+        after: dict[tuple[int, int], int] = defaultdict(int)
+        for (k, s), ways in states.items():
+            longer = k - s
+            if letter == "r":
+                after[k + 1, s + 1] += ways
+            elif letter == "k":
+                if s:
+                    after[k, s - 1] += ways * s
+                if longer:
+                    after[k, s] += ways * 2 * longer
+            else:
+                if s >= 2:
+                    after[k - 1, s - 2] += ways * (s * (s - 1) // 2)
+                if s and longer:
+                    after[k - 1, s - 1] += ways * 2 * s * longer
+                if longer >= 2:
+                    after[k - 1, s] += ways * 2 * longer * (longer - 1)
+        states = after
+    return 2 * states.get((1, 0), 0)
+
+
 def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """All cyclic permutations whose word is ``word``, in lexicographic order.
 
     The result is closed under reversal.  Raises ``NotAWord`` when the
     input breaks the word rules; a valid word with no matches returns an
-    empty tuple.  Raises ``CapExceeded`` as soon as a permutation beyond
-    the first ``cap`` is found.
+    empty tuple.  Raises ``CapExceeded`` before searching when
+    :func:`count_perms_from_word` exceeds ``cap``.
     """
-    check_cycle_word(word)
+    total = count_perms_from_word(word)
+    if total > cap:
+        raise CapExceeded(
+            f"{total} permutations have the word {word}, over the cap {cap}"
+        )
     n = len(word)
     cls = classes_from_word(word)
-    candidates = {v: sorted(js) for v, js in neighbor_candidates(cls).items()}
-
-    # remaining smaller/larger neighbour slots per vertex
-    need_small = [0] * (n + 1)
-    need_large = [0] * (n + 1)
-    for v in range(1, n + 1):
-        if v in cls.R:
-            need_large[v] = 2
-        elif v in cls.Rbar:
-            need_small[v] = 2
-        else:
-            need_small[v] = need_large[v] = 1
-
-    def take(u: int, v: int) -> bool:
-        lo, hi = (u, v) if u < v else (v, u)
-        if need_large[lo] == 0 or need_small[hi] == 0:
-            return False
-        need_large[lo] -= 1
-        need_small[hi] -= 1
-        return True
-
-    def give_back(u: int, v: int) -> None:
-        lo, hi = (u, v) if u < v else (v, u)
-        need_large[lo] += 1
-        need_small[hi] += 1
+    table = neighbor_candidates(cls)
+    below = [sorted(j for j in table.get(v, ()) if j < v) for v in range(n + 1)]
+    above = [sorted(j for j in table.get(v, ()) if j > v) for v in range(n + 1)]
 
     results: list[CyclicPerm] = []
     seq = [1]
     used = [False] * (n + 1)
     used[1] = True
 
-    def extend() -> None:
-        last = seq[-1]
-        if len(seq) == n:
-            if take(last, 1):
-                candidate = CyclicPerm(tuple(seq))
-                if cycle_word(candidate) == word:
-                    results.append(candidate)
-                    if len(results) > cap:
-                        raise CapExceeded(
-                            f"more than {cap} permutations have the word {word}"
-                        )
-                give_back(last, 1)
+    # ``up`` says on which side of ``last`` its next neighbour lies: larger
+    # after an r, smaller after an R, and after a k the side opposite the
+    # vertex the walk came from.  Every arc of the walk then fits the
+    # classes of both its ends.  Each arc takes one larger-neighbour slot
+    # and there are n of them, so the one left at the end is 1's: the
+    # closing arc (1, last) fits too and every leaf has the word, which
+    # the leaf still checks.  Candidates are tried in ascending order, so
+    # the leaves arrive in lexicographic order.
+    def extend(last: int, depth: int, up: bool) -> None:
+        if depth == n:
+            candidate = CyclicPerm(tuple(seq))
+            if sequence_word(candidate.seq) == word:
+                results.append(candidate)
             return
-        for j in candidates[last]:
-            if used[j] or not take(last, j):
+        depth += 1
+        for j in above[last] if up else below[last]:
+            if used[j]:
                 continue
             used[j] = True
             seq.append(j)
-            extend()
+            letter = word[j - 1]
+            extend(j, depth, letter == "r" or (letter == "k" and j > last))
             seq.pop()
             used[j] = False
-            give_back(last, j)
 
-    extend()
-    return tuple(sorted(results))
+    extend(1, 1, True)
+    return tuple(results)
 
 
-def perms_from_word_oracle(word: str) -> tuple[CyclicPerm, ...]:
+def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """Brute force: filter the whole universe by word equality.
 
-    Refuses n above 10; cost grows like (n-1)!.
+    Refuses n above 10, and raises ``CapExceeded`` before the scan when the
+    (n-1)! permutations to scan exceed ``cap``.
     """
     n = len(word)
     if n > ORACLE_MAX_N:
         raise TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
+    # below 3 vertices there is no universe; all_cyclic_perms refuses it
+    if n >= 3 and factorial(n - 1) > cap:
+        raise CapExceeded(
+            f"{factorial(n - 1)} permutations to scan exceed the cap {cap}"
+        )
     return tuple(p for p in all_cyclic_perms(n) if cycle_word(p) == word)
 
 

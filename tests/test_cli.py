@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,19 @@ class TestInvert:
         code, out, err = run(capsys, "invert", "rrkkkkkkRR", "--cap", "100")
         assert code == 3 and out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invert", "rrkkkkkkkkkkkkkkRR", "--cap", "200000"),
+            ("invert", "--oracle", "rrkkkkkkRR", "--cap", "100"),
+        ],
+    )
+    def test_cap_refuses_before_enumerating(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "cap" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_cap_at_fibre_size(self, capsys):
         code, out, _ = run(capsys, "invert", "rrkkkkkkRR", "--cap", "8192")

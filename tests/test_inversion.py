@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arcdiagrams import (
     CapExceeded,
@@ -7,12 +11,14 @@ from arcdiagrams import (
     all_cyclic_perms,
     canonical_half,
     classes_from_word,
+    count_perms_from_word,
     cycle_word,
     neighbor_candidates,
     parse_perm,
     perms_from_word,
     perms_from_word_oracle,
 )
+from arcdiagrams.inversion import sequence_word
 
 MIXED_WORD = "rkrRkR"
 MIXED_PERMS = (
@@ -79,13 +85,27 @@ class TestPermsFromWord:
 
     def test_not_a_word(self):
         for bad in ("rR", "rrkR", "rkRrkR"):
-            with pytest.raises(NotAWord):
-                perms_from_word(bad)
+            for func in (perms_from_word, count_perms_from_word):
+                with pytest.raises(NotAWord):
+                    func(bad)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
             perms_from_word(MIXED_WORD, cap=7)
         assert len(perms_from_word(MIXED_WORD, cap=8)) == 8
+
+    def test_cap_refuses_before_searching(self):
+        # a fibre of 536,870,912: listing it would take hours
+        word = "rr" + "k" * 14 + "RR"
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="536870912 .* cap 200000"):
+            perms_from_word(word, cap=200_000)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_sequence_word_matches_arc_set_route(self, n):
+        for p in all_cyclic_perms(n):
+            assert sequence_word(p.seq) == cycle_word(p)
 
     def test_sound_and_reverse_closed(self):
         for word in (MIXED_WORD, DYCK_WORD, "rrkkRR"):
@@ -102,6 +122,54 @@ class TestPermsFromWord:
             for word in sorted({cycle_word(p) for p in universe}):
                 seen.extend(perms_from_word(word))
             assert sorted(seen) == universe
+
+
+def elevated_motzkin_words(max_n):
+    """Words r + (a Motzkin word) + R with 3..max_n letters: the valid words."""
+
+    @st.composite
+    def build(draw):
+        inner = draw(st.integers(1, max_n - 2))
+        letters, height = ["r"], 0
+        for i in range(inner):
+            left = inner - i - 1  # inner letters after this one
+            choices = ["k"] if height <= left else []
+            if height + 1 <= left:
+                choices.append("r")
+            if height:
+                choices.append("R")
+            letter = draw(st.sampled_from(choices))
+            height += {"r": 1, "R": -1, "k": 0}[letter]
+            letters.append(letter)
+        return "".join(letters) + "R"
+
+    return build()
+
+
+class TestCount:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_fibre_against_universe(self, n):
+        fibres = {}
+        for p in all_cyclic_perms(n):
+            fibres.setdefault(cycle_word(p), []).append(p)
+        for word, fibre in fibres.items():
+            assert tuple(sorted(fibre)) == perms_from_word(word)
+            assert len(fibre) == count_perms_from_word(word)
+
+    @settings(derandomize=True, deadline=None)
+    @given(elevated_motzkin_words(13))
+    def test_matches_search(self, word):
+        count = count_perms_from_word(word)
+        assume(count <= 5_000)
+        result = perms_from_word(word)
+        assert len(set(result)) == count
+        assert all(cycle_word(p) == word for p in result)
+
+    def test_long_word_is_fast(self):
+        word = "r" + "rk" * 100 + "R" * 100 + "R"
+        start = time.perf_counter()
+        assert count_perms_from_word(word) > 0
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOracle:
@@ -127,6 +195,14 @@ class TestOracle:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             perms_from_word_oracle("r" * 11)
+
+    def test_cap(self):
+        # 9! permutations to scan; refused before the scan
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="362880 .* cap 100"):
+            perms_from_word_oracle("rrkkkkkkRR", cap=100)
+        assert time.perf_counter() - start < 1.0
+        assert perms_from_word_oracle(MIXED_WORD, cap=120) == perms_from_word(MIXED_WORD)
 
 
 class TestCanonicalHalf:
