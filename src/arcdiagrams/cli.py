@@ -240,12 +240,12 @@ def census_lines(report: CensusReport) -> list[str]:
 # ----------------------------------------------------------------- commands
 
 def _emit(args, payload: dict, lines: Iterable[str]) -> int:
-    # ``lines`` may be lazy: it is consumed only when printed as text
+    # ``lines`` may be lazy: it is consumed only when printed as text; the
+    # payload's only non-JSON values are CyclicPerms, written as their seq
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps(payload, default=lambda perm: perm.seq))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 
@@ -273,7 +273,7 @@ def _cmd_invert(args) -> int:
     oracle = perms_from_word_oracle(args.word, args.cap) if args.oracle else None
     perms = perms_from_word(args.word, args.cap)
     shown = canonical_half(perms) if args.canonical_half else perms
-    payload = {"word": args.word, "perms": [list(p.seq) for p in shown]}
+    payload = {"word": args.word, "perms": shown}
     lines: Iterable[str] = map(str, shown)
     if oracle is not None:
         status = "MATCH" if oracle == perms else "MISMATCH"
@@ -318,7 +318,7 @@ def _cmd_generators(args) -> int:
     payload = {
         "count": len(perms),
         "method": args.method,
-        "perms": [list(p.seq) for p in perms],
+        "perms": perms,
     }
     return _emit(args, payload, map(str, perms))
 

@@ -10,8 +10,9 @@ any subset of the non-singleton blocks.
 Three routes compute the same set and are kept deliberately separate so
 they can cross-check each other: direct arrangement of blocks
 (:func:`enumerate_generators`), completion of the missing arcs by
-backtracking (:func:`complete_table`), and a brute-force filter of the
-whole universe (:func:`generators_oracle`).
+backtracking over one list of path-end pointers, changed and restored in
+place (:func:`complete_table`), and a brute-force filter of the whole
+universe (:func:`generators_oracle`).
 """
 
 from __future__ import annotations
@@ -105,64 +106,49 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     that each vertex meets exactly two and the result is a single
     spanning cycle is a generator diagram, contributing that cycle's two
     traversals.  New arcs are tried in increasing order so each completion
-    is visited once.
+    is visited once.  The search keeps one list of path-end pointers:
+    ``mate[v]`` is the other end of the path ending at v (v itself when v
+    is isolated) and ``None`` once v meets two arcs.  An arc may join two
+    ends, and may join the two ends of one path only as the last arc, so
+    no cycle closes early; it is applied and undone in place.
     """
     expected = count_generators(b)
     if expected > cap:
         raise CapExceeded(f"{expected} completions exceed the cap {cap}")
     n = b.n
     have = b.arcs()
-    missing = n - len(have)
-
-    comp = {v: block[0] for block in b.blocks for v in block}
-    degree = {v: sum(v in arc for arc in have) for v in comp}
-
-    candidates = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if (i, j) not in have
-    ]
-    completions: list[frozenset[Arc]] = []
+    mate: list[int | None] = [None] * (n + 1)
+    for block in b.blocks:
+        mate[block[0]], mate[block[-1]] = block[-1], block[0]
+    ends = [v for v in range(1, n + 1) if mate[v] is not None]
+    candidates = list(itertools.combinations(ends, 2))
     added: list[Arc] = []
+    found: list[tuple[int, ...]] = []
 
-    def search(start: int, degree: dict[int, int], comp: dict[int, int]) -> None:
-        if len(added) == missing:
-            if len(set(comp.values())) == 1:
-                completions.append(have | frozenset(added))
+    def search(start: int, left: int) -> None:
+        if not left:
+            [(walk, _)] = trace_components(n, have.union(added))
+            found.extend((walk, walk[:1] + walk[:0:-1]))
             return
-        closing_time = len(added) == missing - 1
         for idx in range(start, len(candidates)):
             i, j = candidates[idx]
-            if degree[i] >= 2 or degree[j] >= 2:
+            ei, ej = mate[i], mate[j]
+            if ei is None or ej is None or (ei == j) != (left == 1):
                 continue
-            if comp[i] == comp[j] and not closing_time:
-                continue  # a cycle before the last arc can never span
-            next_degree = dict(degree)
-            next_degree[i] += 1
-            next_degree[j] += 1
-            next_comp = dict(comp)
-            src = next_comp[i]
-            for w in next_comp:
-                if next_comp[w] == src:
-                    next_comp[w] = next_comp[j]
+            mate[i] = mate[j] = None
+            mate[ei], mate[ej] = ej, ei
             added.append((i, j))
-            search(idx + 1, next_degree, next_comp)
+            search(idx + 1, left - 1)
             added.pop()
+            mate[ei], mate[ej] = i, j
+            mate[i], mate[j] = ei, ej
 
-    search(0, degree, comp)
-
-    perms: list[CyclicPerm] = []
-    for arcs in completions:
-        [(walk, _)] = trace_components(n, arcs)
-        first = CyclicPerm(walk)
-        perms += (first, first.reverse())
-    perms.sort()
-    if len(perms) != expected:
+    search(0, b.block_count)
+    if len(found) != expected:
         raise RuntimeError(
-            f"completion count {len(perms)} != formula {expected} for {b}"
+            f"completion count {len(found)} != formula {expected} for {b}"
         )
-    return tuple(perms)
+    return tuple(CyclicPerm(seq) for seq in sorted(found))
 
 
 @dataclass(frozen=True)

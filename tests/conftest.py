@@ -4,7 +4,8 @@ The helpers here deliberately avoid the library's own code paths where
 they serve as cross-checks: ``value_class_word`` classifies vertices by
 comparing entries with their cyclic neighbours instead of reading the arc
 set, ``arc_graph_shape`` uses a union-find instead of the library's walker,
-and ``crossing_brute_force`` scans every arc subset.
+``crossing_brute_force`` scans every arc subset, and ``crossing_chain_dp``
+runs a quadratic chain DP at each boundary.
 """
 
 import itertools
@@ -71,6 +72,27 @@ def crossing_brute_force(b):
                 and starts[-1] < ends[0]
             ):
                 best = max(best, size)
+    return best
+
+
+def crossing_chain_dp(b):
+    """Largest mutually-crossing arc family by an O(m^2) chain DP per boundary."""
+    arcs = sorted(b.arcs())
+    if not arcs:
+        return 0
+    best = 1
+    for boundary in range(1, b.n):
+        spanning = [(i, j) for i, j in arcs if i <= boundary < j]
+        # longest chain with strictly increasing starts and ends
+        lengths = []
+        for t, (i, j) in enumerate(spanning):
+            prior = [
+                lengths[s]
+                for s in range(t)
+                if spanning[s][0] < i and spanning[s][1] < j
+            ]
+            lengths.append(1 + max(prior, default=0))
+        best = max(best, max(lengths, default=1))
     return best
 
 

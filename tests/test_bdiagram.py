@@ -36,7 +36,13 @@ from arcdiagrams import (
 )
 from arcdiagrams.bdiagram import _blocks_from_arcs
 from arcdiagrams.cli import main
-from conftest import arc_graph_shape, arc_subsets, crossing_brute_force, random_bdiagram
+from conftest import (
+    arc_graph_shape,
+    arc_subsets,
+    crossing_brute_force,
+    crossing_chain_dp,
+    random_bdiagram,
+)
 
 BRAID = "3 1 6 | 2 7 8 | 4 5"
 SPARSE = "1 3 | 2 | 4 8 | 5 6 | 7"
@@ -321,6 +327,13 @@ class TestMaxCrossing:
             for _ in range(150):
                 b = random_bdiagram(rng, n)
                 assert max_crossing(b) == crossing_brute_force(b)
+
+    def test_chain_dp_random(self):
+        rng = random.Random(8128)
+        for n in range(9, 61):
+            for _ in range(4):
+                b = random_bdiagram(rng, n)
+                assert max_crossing(b) == crossing_chain_dp(b), b
 
 
 class TestEdits:

@@ -203,6 +203,18 @@ class TestDiagramCommands:
         code, out, _ = run(capsys, "crossing", "1 2 | 3 6 | 4 7 | 5 8")
         assert code == 0 and out.strip() == "3"
 
+    def test_crossing_long(self, capsys):
+        # four 500-vertex blocks of a strided labelling; the answer was
+        # confirmed by the quadratic chain DP (about two minutes)
+        labels = [t * 761 % 2000 + 1 for t in range(2000)]
+        text = " | ".join(
+            " ".join(map(str, labels[k : k + 500])) for k in range(0, 2000, 500)
+        )
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "crossing", text)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and out.strip() == "760"
+
     def test_inflate(self, capsys):
         code, out, _ = run(capsys, "inflate", "arAkAA")
         assert code == 0 and out.strip() == "aaaAAaAA"

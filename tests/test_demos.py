@@ -1,4 +1,8 @@
-"""Every script in demos/ runs against the source tree without error output."""
+"""Every script in demos/ runs against the source tree and prints its golden output.
+
+The golden files in tests/golden/ hold each demo's stdout; the demos are
+deterministic, so any change to what they print shows up here.
+"""
 
 import os
 import subprocess
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -24,3 +29,4 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

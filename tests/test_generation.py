@@ -174,6 +174,18 @@ class TestTripleAgreement:
             assert complete_table(b) == by_blocks
             assert generators_oracle(b) == by_blocks
 
+    def test_table_random_beyond_n8(self):
+        rng = random.Random(2718)
+        checked = with_singletons = 0
+        while checked < 40:
+            b = random_bdiagram(rng, rng.randint(9, 14))
+            if count_generators(b) > 5_000:
+                continue
+            assert complete_table(b) == enumerate_generators(b), b
+            checked += 1
+            with_singletons += b.singleton_count > 0
+        assert with_singletons >= 10
+
     def test_recover_diagram(self):
         b = parse_bdiagram(THREE_BLOCKS)
         for p in enumerate_generators(b):
