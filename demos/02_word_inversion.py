@@ -2,8 +2,10 @@
 =============================================
 
 Different cyclic permutations can share one word, so a word inverts to a
-set.  The search builds the cycle step by step, restricted to admissible
-neighbours, and the brute-force oracle confirms the result.
+set.  The candidate table shows which vertices may sit next to which; the
+listing sweeps the vertices left to right, starting, extending and joining
+partial paths as each letter says, and the brute-force oracle confirms
+the result.
 """
 
 from arcdiagrams import (

@@ -269,7 +269,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    # run the oracle first so its size guard fires before the search starts
+    # run the oracle first so its size guard fires before the listing starts
     oracle = perms_from_word_oracle(args.word, args.cap) if args.oracle else None
     perms = perms_from_word(args.word, args.cap)
     shown = canonical_half(perms) if args.canonical_half else perms
@@ -497,6 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # print a generator count whole, past the 4,300 digits str() allows by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

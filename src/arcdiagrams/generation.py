@@ -110,7 +110,8 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     ``mate[v]`` is the other end of the path ending at v (v itself when v
     is isolated) and ``None`` once v meets two arcs.  An arc may join two
     ends, and may join the two ends of one path only as the last arc, so
-    no cycle closes early; it is applied and undone in place.
+    no cycle closes early; it is applied and undone in place.  Only a pair
+    starting at the least open end can still join it, so the loop stops past it.
     """
     expected = count_generators(b)
     if expected > cap:
@@ -130,8 +131,11 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
             [(walk, _)] = trace_components(n, have.union(added))
             found.extend((walk, walk[:1] + walk[:0:-1]))
             return
+        low = next(v for v in ends if mate[v] is not None)
         for idx in range(start, len(candidates)):
             i, j = candidates[idx]
+            if i > low:
+                break
             ei, ej = mate[i], mate[j]
             if ei is None or ej is None or (ei == j) != (left == 1):
                 continue

@@ -1,24 +1,23 @@
 """Recovering the cyclic permutations that share a given word.
 
 The word-to-permutation map is many-to-one, so inverting a word means
-enumerating a set.  The search walks the cycle vertex by vertex: from a
-left ramphoid it may only step to a larger right-ramphoid or keratoid
-vertex, from a right ramphoid only to a smaller left-ramphoid or keratoid
-vertex, and a keratoid allows both directions.  A vertex's class also
-fixes on which side its next neighbour lies (larger after r, smaller after
-R, opposite to the previous neighbour after k), which prunes the rest.
-Each finished cycle is checked by reading its word off the sequence.
-``count_perms_from_word`` sizes the set by a left-to-right dynamic
-program, so an over-cap word is refused before any search.
+enumerating a set, its fibre.  Counting and listing both sweep the
+vertices left to right over the open partial paths drawn so far: an
+``r`` starts a path, a ``k`` extends one, an ``R`` joins two, and the
+final ``R`` closes the last one into the cycle.  ``count_perms_from_word``
+keeps only how many paths are open and how many are a lone ``r``, so an
+over-cap word is refused before listing; ``perms_from_word`` keeps the
+paths themselves, and every branch of its sweep ends in a cycle.
 
 ``perms_from_word_oracle`` is the independent check: it filters the full
 universe of (n-1)! permutations by their word and must agree with the
-search everywhere.
+sweep everywhere.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -127,10 +126,13 @@ def count_perms_from_word(word: str) -> int:
 def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """All cyclic permutations whose word is ``word``, in lexicographic order.
 
-    The result is closed under reversal.  Raises ``NotAWord`` when the
-    input breaks the word rules; a valid word with no matches returns an
-    empty tuple.  Raises ``CapExceeded`` before searching when
-    :func:`count_perms_from_word` exceeds ``cap``.
+    Runs the sweep of :func:`count_perms_from_word` on the open paths
+    themselves, as walks: ``r`` starts ``(v,)``, ``k`` appends v at either
+    end of one walk, ``R`` joins two as ``p + (v,) + q`` in every
+    orientation, and the final ``R`` closes the last.  Every branch ends in
+    a cycle, walked both ways from 1, so the result is closed under
+    reversal.  Raises ``NotAWord`` for a non-word and ``CapExceeded``
+    before listing when the count exceeds ``cap``.
     """
     total = count_perms_from_word(word)
     if total > cap:
@@ -138,43 +140,33 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
             f"{total} permutations have the word {word}, over the cap {cap}"
         )
     n = len(word)
-    cls = classes_from_word(word)
-    table = neighbor_candidates(cls)
-    below = [sorted(j for j in table.get(v, ()) if j < v) for v in range(n + 1)]
-    above = [sorted(j for j in table.get(v, ()) if j > v) for v in range(n + 1)]
+    found: list[tuple[int, ...]] = []
 
-    results: list[CyclicPerm] = []
-    seq = [1]
-    used = [False] * (n + 1)
-    used[1] = True
+    def sweep(v: int, paths: tuple[tuple[int, ...], ...]) -> None:
+        if v == n:
+            [path] = paths
+            at = path.index(1)
+            walk = path[at:] + (v,) + path[:at]
+            if sequence_word(walk) == word:
+                found.extend((walk, walk[:1] + walk[:0:-1]))
+        elif word[v - 1] == "r":
+            sweep(v + 1, paths + ((v,),))
+        elif word[v - 1] == "k":
+            for i, path in enumerate(paths):
+                rest = paths[:i] + paths[i + 1 :]
+                for p in {path, path[::-1]}:  # one for a lone r
+                    sweep(v + 1, rest + (p + (v,),))
+        else:
+            for i, j in combinations(range(len(paths)), 2):
+                rest = paths[:i] + paths[i + 1 : j] + paths[j + 1 :]
+                for p in {paths[i], paths[i][::-1]}:
+                    for q in {paths[j], paths[j][::-1]}:
+                        sweep(v + 1, rest + (p + (v,) + q,))
 
-    # ``up`` says on which side of ``last`` its next neighbour lies: larger
-    # after an r, smaller after an R, and after a k the side opposite the
-    # vertex the walk came from.  Every arc of the walk then fits the
-    # classes of both its ends.  Each arc takes one larger-neighbour slot
-    # and there are n of them, so the one left at the end is 1's: the
-    # closing arc (1, last) fits too and every leaf has the word, which
-    # the leaf still checks.  Candidates are tried in ascending order, so
-    # the leaves arrive in lexicographic order.
-    def extend(last: int, depth: int, up: bool) -> None:
-        if depth == n:
-            candidate = CyclicPerm(tuple(seq))
-            if sequence_word(candidate.seq) == word:
-                results.append(candidate)
-            return
-        depth += 1
-        for j in above[last] if up else below[last]:
-            if used[j]:
-                continue
-            used[j] = True
-            seq.append(j)
-            letter = word[j - 1]
-            extend(j, depth, letter == "r" or (letter == "k" and j > last))
-            seq.pop()
-            used[j] = False
-
-    extend(1, 1, True)
-    return tuple(results)
+    sweep(1, ())
+    if len(found) != total:
+        raise RuntimeError(f"sweep count {len(found)} != count {total} for {word}")
+    return tuple(CyclicPerm(seq) for seq in sorted(found))
 
 
 def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:

@@ -11,6 +11,8 @@ runs a quadratic chain DP at each boundary.
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from arcdiagrams import BDiagram
 
 
@@ -108,3 +110,28 @@ def random_bdiagram(rng: random.Random, n: int) -> BDiagram:
         blocks.append(tuple(labels[prev:cut]))
         prev = cut
     return BDiagram(tuple(blocks))
+
+
+@st.composite
+def elevated_motzkin_words(draw, max_n, max_height=None, max_k=None):
+    """Words r + (a Motzkin word) + R with 3..max_n letters: the valid words.
+
+    ``max_height`` bounds the Motzkin path's height and ``max_k`` the number
+    of ``k`` it chooses (a last letter forced to ``k`` aside); both keep the
+    fibres small enough to list at large n.
+    """
+    inner = draw(st.integers(1, max_n - 2))
+    letters, height = ["r"], 0
+    for i in range(inner):
+        left = inner - i - 1  # inner letters after this one
+        choices = ["k"] if height <= left else []
+        if max_k is not None and letters.count("k") >= max_k and (height or left):
+            choices = []
+        if height + 1 <= left and (max_height is None or height < max_height):
+            choices.append("r")
+        if height:
+            choices.append("R")
+        letter = draw(st.sampled_from(choices))
+        height += {"r": 1, "R": -1, "k": 0}[letter]
+        letters.append(letter)
+    return "".join(letters) + "R"

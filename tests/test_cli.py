@@ -1,12 +1,15 @@
 import json
+import math
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcdiagrams import parse_bdiagram, parse_perm
+from arcdiagrams import canonical_generator, parse_bdiagram, parse_perm
 from arcdiagrams.cli import main, render_ascii, render_svg
+from conftest import elevated_motzkin_words, random_bdiagram
 
 MOTZKIN_ART = """\
     _
@@ -99,6 +102,14 @@ class TestInvert:
         assert code == 3 and out == "" and "cap" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_long_small_fibre_is_fast(self, capsys):
+        # n = 20 and 512 permutations: the old candidate-table search took
+        # about a minute
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "invert", "rrRrRrRrRrRrRrRrRrRR", "--json")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and len(json.loads(out)["perms"]) == 512
+
     def test_cap_at_fibre_size(self, capsys):
         code, out, _ = run(capsys, "invert", "rrkkkkkkRR", "--cap", "8192")
         assert code == 0 and len(out.splitlines()) == 8192
@@ -165,6 +176,16 @@ class TestGenerators:
             capsys, "generators", seven, "--list", "--method", "oracle", "--cap", "720"
         )
         assert code == 0 and len(out.splitlines()) == 720
+
+    def test_count_past_str_digit_limit(self, capsys):
+        # 1999! has 5,733 digits, past the 4,300 that str() allows by default
+        singletons = " | ".join(map(str, range(1, 2001)))
+        code, out, _ = run(capsys, "generators", singletons)
+        assert code == 0 and len(out) == 5734 and out.startswith("1")
+        code, out, _ = run(capsys, "generators", singletons, "--json")
+        assert code == 0 and json.loads(out)["count"] == math.factorial(1999)
+        code, out, err = run(capsys, "generators", singletons, "--list")
+        assert code == 3 and out == "" and "cap" in err
 
     def test_tiny_count(self, capsys):
         code, out, _ = run(capsys, "generators", "--count", "1 2 | 3")
@@ -380,9 +401,74 @@ def fuzz_argv(draw):
     return [command, *values, *flag_tokens, "--cap", "1000"]
 
 
+CYCLE_WORDS = st.one_of(
+    # r(rR)^m R has the smallest fibre of its length, 2**m: under the cap
+    # up to m = 9 (n = 20); the other draws reach n = 60
+    st.integers(1, 10).map(lambda m: "r" + "rR" * m + "R"),
+    elevated_motzkin_words(60, max_height=1, max_k=2),
+    elevated_motzkin_words(60),
+    st.text("rkR", min_size=1, max_size=60),
+)
+# subcommand, its flags, the kind of each positional argument
+LONG_COMMANDS = (
+    ("invert", (), ("word",)),
+    ("invert", ("--canonical-half",), ("word",)),
+    ("invert", ("--oracle",), ("word",)),
+    ("render", (), ("word",)),
+    ("validate-word", (), ("bword",)),
+    ("inflate", (), ("bword",)),
+    ("render", ("--kind", "bword"), ("bword",)),
+    ("classify", (), ("perm",)),
+    ("render", ("--kind", "perm"), ("perm",)),
+    ("cutset", (), ("perm", "diagram")),
+    ("complement", (), ("perm", "diagram")),
+    ("bword", (), ("diagram",)),
+    ("crossing", (), ("diagram",)),
+    ("generators", (), ("diagram",)),
+    ("generators", ("--list", "--method", "blocks"), ("diagram",)),
+    ("generators", ("--list", "--method", "table"), ("diagram",)),
+    ("edit", (), ("op", "diagram", "vertex", "vertex")),
+)
+
+
+@st.composite
+def long_argv(draw):
+    """A subcommand on long generated inputs: cycle or block words of up to
+    60 letters, diagrams on up to 2,000 vertices, and permutations that are
+    either one of the diagram's generators or random."""
+    command, flags, kinds = draw(st.sampled_from(LONG_COMMANDS))
+    n = draw(st.integers(3, 2000))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    b = random_bdiagram(rng, n)
+    if draw(st.booleans()):
+        p = canonical_generator(b).seq
+    else:
+        p = (1, *rng.sample(range(2, n + 1), n - 1))
+    inputs = {
+        "word": lambda: draw(CYCLE_WORDS),
+        "bword": lambda: draw(st.text("aAekrR", min_size=1, max_size=60)),
+        "perm": lambda: " ".join(map(str, p)),
+        "diagram": lambda: str(b),
+        "op": lambda: draw(st.sampled_from(("add", "remove", "transpose"))),
+        "vertex": lambda: str(rng.randint(1, n)),
+    }
+    positionals = [inputs[kind]() for kind in kinds]
+    json_flag = draw(st.sampled_from(((), ("--json",))))
+    return [command, *positionals, *flags, *json_flag, "--cap", "1000"]
+
+
 class TestFuzz:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(fuzz_argv())
     def test_exit_codes(self, argv):
         # an exception escaping main fails the test; the cap keeps every run short
         assert main(argv) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(long_argv())
+    def test_long_inputs(self, argv):
+        # words up to 60 letters and diagrams up to 2,000 vertices: a valid
+        # exit code and no hang; crossing at n = 2,000 takes up to about 1 s
+        start = time.perf_counter()
+        assert main(argv) in (0, 1, 2, 3)
+        assert time.perf_counter() - start < 5.0

@@ -2,7 +2,6 @@ import time
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from arcdiagrams import (
     CapExceeded,
@@ -19,6 +18,7 @@ from arcdiagrams import (
     perms_from_word_oracle,
 )
 from arcdiagrams.inversion import sequence_word
+from conftest import elevated_motzkin_words
 
 MIXED_WORD = "rkrRkR"
 MIXED_PERMS = (
@@ -94,6 +94,13 @@ class TestPermsFromWord:
             perms_from_word(MIXED_WORD, cap=7)
         assert len(perms_from_word(MIXED_WORD, cap=8)) == 8
 
+    def test_long_small_fibre_is_fast(self):
+        # the old candidate-table search took minutes on this word
+        start = time.perf_counter()
+        result = perms_from_word("r" + "rR" * 10 + "R")
+        assert time.perf_counter() - start < 1.0
+        assert len(result) == 1024
+
     def test_cap_refuses_before_searching(self):
         # a fibre of 536,870,912: listing it would take hours
         word = "rr" + "k" * 14 + "RR"
@@ -124,28 +131,6 @@ class TestPermsFromWord:
             assert sorted(seen) == universe
 
 
-def elevated_motzkin_words(max_n):
-    """Words r + (a Motzkin word) + R with 3..max_n letters: the valid words."""
-
-    @st.composite
-    def build(draw):
-        inner = draw(st.integers(1, max_n - 2))
-        letters, height = ["r"], 0
-        for i in range(inner):
-            left = inner - i - 1  # inner letters after this one
-            choices = ["k"] if height <= left else []
-            if height + 1 <= left:
-                choices.append("r")
-            if height:
-                choices.append("R")
-            letter = draw(st.sampled_from(choices))
-            height += {"r": 1, "R": -1, "k": 0}[letter]
-            letters.append(letter)
-        return "".join(letters) + "R"
-
-    return build()
-
-
 class TestCount:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_every_fibre_against_universe(self, n):
@@ -163,6 +148,19 @@ class TestCount:
         assume(count <= 5_000)
         result = perms_from_word(word)
         assert len(set(result)) == count
+        assert all(cycle_word(p) == word for p in result)
+
+    @settings(derandomize=True, deadline=None)
+    @given(elevated_motzkin_words(26, max_height=1, max_k=2))
+    def test_long_words_match_count(self, word):
+        # the smallest fibre at n letters is 2**((n-2)/2), from r(rR)*R, so
+        # 5,000 admits n <= 26; low paths with few k keep most draws in
+        count = count_perms_from_word(word)
+        assume(count <= 5_000)
+        result = perms_from_word(word)
+        assert len(result) == len(set(result)) == count
+        assert list(result) == sorted(result)
+        assert {p.reverse() for p in result} == set(result)
         assert all(cycle_word(p) == word for p in result)
 
     def test_long_word_is_fast(self):
