@@ -39,16 +39,9 @@ from .errors import (
     WouldCycle,
 )
 from .perm import Arc, CyclicPerm, arc_set, arc_text, trace_components
-from .words import degree_vector, path_steps
+from .words import ARCS, degree_vector
 
-_CLASS_LETTER = {
-    (2, 0): "r",
-    (0, 2): "R",
-    (1, 1): "k",
-    (1, 0): "a",
-    (0, 1): "A",
-    (0, 0): "e",
-}
+_CLASS_LETTER = {arcs: letter for letter, arcs in ARCS.items()}
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class BDiagram:
             raise EmptyBlock("blocks must be nonempty")
         flat = [v for block in self.blocks for v in block]
         n = len(flat)
-        if set(flat) != set(range(1, n + 1)) or len(set(flat)) != n:
+        if set(flat) != set(range(1, n + 1)):
             raise NotAPermutation(f"blocks must partition 1..{n}: {self.blocks}")
         if any(len(b) == n for b in self.blocks):
             raise BlockTooLong(f"a block may hold at most {n - 1} of the {n} vertices")
@@ -176,34 +169,30 @@ def validate_block_word(word: str) -> WordCheck:
 
     The degree test (no negative prefix sum, zero total) is necessary but
     not sufficient: ``rkR`` passes it yet would force three arcs on three
-    vertices, a cycle.  After the degree, endpoint and step-path screens a
-    sweep over the letters settles realizability in O(n^2) and produces a
-    canonical witness (see :func:`_realize`).
+    vertices, a cycle.  After the degree, endpoint and valley screens, all
+    read off one pass of prefix sums, a sweep over the letters settles
+    realizability in O(n^2) and produces a canonical witness (see
+    :func:`_realize`).
     """
-    degrees = degree_vector(word)
-    running = 0
-    for value in degrees[:-1]:
-        running += value
-        if running < 0:
-            return WordCheck(False, reason=InvalidReason.NEGATIVE_PREFIX)
-    if sum(degrees) != 0:
-        return WordCheck(False, reason=InvalidReason.NONZERO_TOTAL)
-    if word[0] in "ARk" or word[-1] in "ark":
-        return WordCheck(False, reason=InvalidReason.BAD_ENDPOINTS)
-    # a k letter needs an open arc to land on: the unit-step path must not dip
-    if min(path_steps(word, "block").heights) < 0:
+    # prefix[i]: arcs left open by the first i letters
+    prefix = list(itertools.accumulate(degree_vector(word), initial=0))
+    if min(prefix[1:-1], default=0) < 0:
         return WordCheck(False, reason=InvalidReason.NEGATIVE_PREFIX)
-    witness = _realize(word)
+    if prefix[-1] != 0:
+        return WordCheck(False, reason=InvalidReason.NONZERO_TOTAL)
+    # the first letter can close no arc and the last can open none
+    if ARCS[word[0]][1] or ARCS[word[-1]][0]:
+        return WordCheck(False, reason=InvalidReason.BAD_ENDPOINTS)
+    # a k needs an open arc to land on, or its valley dips below the axis
+    if any(letter == "k" and not s for letter, s in zip(word, prefix)):
+        return WordCheck(False, reason=InvalidReason.NEGATIVE_PREFIX)
+    witness = _realize(word, prefix)
     if witness is None:
         return WordCheck(False, reason=InvalidReason.UNREALIZABLE)
     return WordCheck(True, witness=witness)
 
 
-_OPENS = {"r": 2, "a": 1, "k": 1}
-_CLOSES = {"R": 2, "A": 1, "k": 1}
-
-
-def _realize(word: str) -> BDiagram | None:
+def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     """First b-diagram realizing ``word`` under an ordered search, or None.
 
     Scans vertices left to right; at each vertex the arcs ending there are
@@ -215,7 +204,7 @@ def _realize(word: str) -> BDiagram | None:
     candidate's next state an O(1) lookup.
     """
     n = len(word)
-    table = _feasibility_table(word)
+    table = _feasibility_table(word, prefix)
 
     def fits(i: int, t2: int, f: int) -> bool:
         return bool(table[i][min(f, 2)] >> t2 & 1)
@@ -237,8 +226,8 @@ def _realize(word: str) -> BDiagram | None:
         return t2 - twos + (left == 2), f + (left == 0)
 
     for v, letter in enumerate(word, 1):
-        opens = _OPENS.get(letter, 0)
-        if _CLOSES.get(letter) == 2:
+        opens, closes = ARCS[letter]
+        if closes == 2:
             choices = (
                 (u1, u2)
                 for i, u1 in enumerate(pool)
@@ -248,7 +237,7 @@ def _realize(word: str) -> BDiagram | None:
                 if u2 != mate[u1]  # two stubs of one path would close a cycle
             )
         else:
-            choices = itertools.combinations(pool, _CLOSES.get(letter, 0))
+            choices = itertools.combinations(pool, closes)
         chosen = next(c for c in choices if fits(v, *after(c)))
         t2, f = after(chosen)
         ends = [mate[u] for u in chosen if mate[u] is not None] + [v] * opens
@@ -264,12 +253,13 @@ def _realize(word: str) -> BDiagram | None:
     return _blocks_from_arcs(n, frozenset(arcs))
 
 
-def _feasibility_table(word: str) -> list[tuple[int, int, int]]:
+def _feasibility_table(word: str, prefix: list[int]) -> list[tuple[int, int, int]]:
     """Which sweep states can still be completed, position by position.
 
     After the first i letters the open arc stubs number the prefix degree
-    sum s; they sit on partial paths holding two stubs (t2 of them) or one
-    (s - 2*t2 of them), and f components are finished, counted up to 2.
+    sum s = ``prefix[i]``; they sit on partial paths holding two stubs (t2
+    of them) or one (s - 2*t2 of them), and f components are finished,
+    counted up to 2.
     ``table[i][f]`` has bit t2 set when the remaining letters can close
     every stub without a cycle and leave at least two components.  Paths
     with equal stub counts are interchangeable, so this state is exact.
@@ -277,7 +267,6 @@ def _feasibility_table(word: str) -> list[tuple[int, int, int]]:
     n bits per letter: O(n^2) bit operations in all.
     """
     n = len(word)
-    prefix = list(itertools.accumulate(degree_vector(word), initial=0))
 
     def upto(t2: int) -> int:
         return (1 << t2 + 1) - 1  # bits 0..t2; empty when t2 == -1

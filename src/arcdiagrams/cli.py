@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import factorial
 from typing import Iterable
 
@@ -25,9 +25,10 @@ from .bdiagram import (
     transpose_labels,
     validate_block_word,
 )
-from .errors import CapExceeded, DiagramError, TooLarge, TooSmall
+from .errors import DiagramError, TooLarge, TooSmall, check_cap
 from .generation import (
     DEFAULT_CAP,
+    ORACLE_MAX_N,
     complete_table,
     count_generators,
     enumerate_generators,
@@ -39,17 +40,28 @@ from .words import (
     catalan_number,
     check_cycle_word,
     cycle_word,
-    degree_vector,
     inflate,
     motzkin_number,
     step_groups,
     word_of_classes,
 )
 
-CENSUS_MAX_N = 10
-
 
 # ---------------------------------------------------------------- rendering
+
+def _layout(word: str, dialect: str) -> tuple[list[int], list[int], list[int]]:
+    """Steps of the path of ``word``, heights from 0, and each letter's first column.
+
+    Both lists run one entry past the steps: the last height is the end
+    height and the last column the width, so letter i spans columns
+    ``starts[i]`` up to ``starts[i + 1]``.
+    """
+    groups = step_groups(word, dialect)
+    steps = [dy for group in groups for dy in group]
+    heights = list(accumulate(steps, initial=0))
+    starts = list(accumulate(map(len, groups), initial=0))
+    return steps, heights, starts
+
 
 def render_ascii(word: str, dialect: str) -> str:
     """Draw the path of ``word`` with ``/``, ``\\`` and ``_`` characters.
@@ -57,53 +69,27 @@ def render_ascii(word: str, dialect: str) -> str:
     One text column per unit step; vertex indices are printed under the
     first column of each letter's step group.
     """
-    groups = step_groups(word, dialect)
-    cells = []  # (band, column, char)
-    height = 0
-    col = 0
-    for group in groups:
-        for dy in group:
-            if dy == 1:
-                cells.append((height, col, "/"))
-                height += 1
-            elif dy == -1:
-                height -= 1
-                cells.append((height, col, "\\"))
-            else:
-                cells.append((height, col, "_"))
-            col += 1
-    top = max(band for band, _, _ in cells)
-    bottom = min(band for band, _, _ in cells)
-    width = col
-    rows = []
-    for band in range(top, bottom - 1, -1):
-        line = [" "] * width
-        for b, c, ch in cells:
-            if b == band:
-                line[c] = ch
-        rows.append("".join(line).rstrip())
+    steps, heights, starts = _layout(word, dialect)
+    width = len(steps)
+    # a step draws in the band above its lower end
+    bands = [h - (dy == -1) for dy, h in zip(steps, heights)]
+    top, bottom = max(bands), min(bands)
+    rows = [[" "] * width for _ in range(top - bottom + 1)]
+    for col, (dy, band) in enumerate(zip(steps, bands)):
+        rows[top - band][col] = {1: "/", -1: "\\", 0: "_"}[dy]
     labels = [" "] * width
-    col = 0
-    for index, group in enumerate(groups, start=1):
+    for index, col in enumerate(starts[:-1], start=1):
         text = str(index)
-        if col + len(text) <= width and all(
-            labels[col + t] == " " for t in range(len(text))
-        ):
-            for t, ch in enumerate(text):
-                labels[col + t] = ch
-        col += len(group)
-    rows.append("".join(labels).rstrip())
-    return "\n".join(rows)
+        free = labels[col : col + len(text)]
+        if len(free) == len(text) and set(free) == {" "}:
+            labels[col : col + len(text)] = text
+    return "\n".join("".join(row).rstrip() for row in rows + [labels])
 
 
 def render_svg(word: str, dialect: str) -> str:
     """The same path as a minimal SVG polyline with vertex labels."""
     unit, pad, label_space = 20, 10, 16
-    groups = step_groups(word, dialect)
-    steps = [dy for group in groups for dy in group]
-    heights = [0]
-    for dy in steps:
-        heights.append(heights[-1] + dy)
+    steps, heights, starts = _layout(word, dialect)
     top, bottom = max(heights), min(heights)
     width = pad * 2 + unit * len(steps)
     height = pad * 2 + unit * (top - bottom) + label_space
@@ -115,25 +101,17 @@ def render_svg(word: str, dialect: str) -> str:
         return pad + unit * (top - h)
 
     points = " ".join(f"{x(i)},{y(h)}" for i, h in enumerate(heights))
-    labels = []
-    col = 0
-    for index, group in enumerate(groups, start=1):
-        cx = x(col) + unit * len(group) // 2
-        labels.append(
-            f'<text x="{cx}" y="{height - 4}" font-size="10" '
-            f'text-anchor="middle">{index}</text>'
-        )
-        col += len(group)
-    body = "\n".join(
-        [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<polyline fill="none" stroke="black" points="{points}"/>',
-            *labels,
-            "</svg>",
-        ]
+    labels = [
+        f'<text x="{x(col) + unit * (end - col) // 2}" y="{height - 4}" font-size="10" '
+        f'text-anchor="middle">{index}</text>'
+        for index, (col, end) in enumerate(zip(starts, starts[1:]), start=1)
+    ]
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+        f'<polyline fill="none" stroke="black" points="{points}"/>'
     )
-    return body
+    return "\n".join([head, *labels, "</svg>"])
 
 
 # ------------------------------------------------------------------- census
@@ -178,11 +156,9 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
     """
     if n < 3:
         raise TooSmall(f"census needs n >= 3, got {n}")
-    if n > CENSUS_MAX_N:
-        raise TooLarge(f"census refuses n={n} > {CENSUS_MAX_N}")
-    expected = factorial(n - 1)
-    if expected > cap:
-        raise CapExceeded(f"{expected} permutations exceed the cap {cap}")
+    if n > ORACLE_MAX_N:
+        raise TooLarge(f"census refuses n={n} > {ORACLE_MAX_N}")
+    check_cap(factorial(n - 1), cap, "permutations")
     groups: dict[str, list[tuple[int, ...]]] = {}
     count = 0
     for p in all_cyclic_perms(n):
@@ -285,11 +261,7 @@ def _cmd_invert(args) -> int:
 def _cmd_bword(args) -> int:
     b = parse_bdiagram(args.bdiagram)
     word = block_word(b)
-    payload = {
-        "word": word,
-        "arcs": b.arc_notation(),
-        "blocks": [list(block) for block in b.blocks],
-    }
+    payload = {"word": word, "arcs": b.arc_notation(), "blocks": b.blocks}
     return _emit(args, payload, ["word: " + word, "arcs: " + b.arc_notation()])
 
 
@@ -315,24 +287,18 @@ def _cmd_generators(args) -> int:
         "oracle": lambda: generators_oracle(b, args.cap),
     }
     perms = methods[args.method]()
-    payload = {
-        "count": len(perms),
-        "method": args.method,
-        "perms": perms,
-    }
+    payload = {"count": len(perms), "method": args.method, "perms": perms}
     return _emit(args, payload, map(str, perms))
 
 
 def _cmd_cutset(args) -> int:
     cut = cut_set(parse_perm(args.perm), parse_bdiagram(args.bdiagram))
-    payload = {"arcs": [list(a) for a in sorted(cut)], "size": len(cut)}
-    return _emit(args, payload, [arc_text(cut)])
+    return _emit(args, {"arcs": sorted(cut), "size": len(cut)}, [arc_text(cut)])
 
 
 def _cmd_complement(args) -> int:
     result = complement(parse_perm(args.perm), parse_bdiagram(args.bdiagram))
-    payload = {"blocks": [list(block) for block in result.blocks]}
-    return _emit(args, payload, [str(result)])
+    return _emit(args, {"blocks": result.blocks}, [str(result)])
 
 
 def _cmd_crossing(args) -> int:
@@ -353,8 +319,7 @@ def _cmd_edit(args) -> int:
         result = remove_arc(b, (args.i, args.j))
     else:
         result = transpose_labels(b, args.i, args.j)
-    payload = {"blocks": [list(block) for block in result.blocks]}
-    return _emit(args, payload, [str(result)])
+    return _emit(args, {"blocks": result.blocks}, [str(result)])
 
 
 def _cmd_render(args) -> int:
@@ -366,7 +331,6 @@ def _cmd_render(args) -> int:
         word = args.input
         dialect = "cycle"
     else:
-        degree_vector(args.input)  # alphabet check only
         word = args.input
         dialect = "block"
     art = render_svg(word, dialect) if args.format == "svg" else render_ascii(word, dialect)

@@ -5,6 +5,8 @@ parsed at all (exit 1), inputs that parse but break a domain rule (exit 2),
 and guards that refuse oversized computations (exit 3).
 """
 
+from math import log10
+
 
 class DiagramError(ValueError):
     """Base class for every error raised by this library."""
@@ -104,3 +106,24 @@ class TooLarge(CapError):
 
 class CapExceeded(CapError):
     pass
+
+
+def check_cap(count: int, cap: int, what: str) -> None:
+    """Raise :class:`CapExceeded`, with ``requested`` and ``limit``, if ``count > cap``.
+
+    A count past 30 digits is stated by its number of digits, so the
+    message stays short and never meets ``str()``'s limit on huge integers.
+
+    >>> check_cap(10**40, 100, "generators")
+    Traceback (most recent call last):
+    arcdiagrams.errors.CapExceeded: a 41-digit number of generators exceed the cap 100
+    """
+    if count <= cap:
+        return
+    digits = int(log10(count)) + 1
+    # the float logarithm may round across a power of ten
+    digits += (count >= 10**digits) - (count < 10 ** (digits - 1))
+    size = count if digits <= 30 else f"a {digits}-digit number of"
+    exc = CapExceeded(f"{size} {what} exceed the cap {cap}")
+    exc.requested, exc.limit = count, cap
+    raise exc

@@ -23,10 +23,11 @@ from functools import lru_cache
 from math import factorial
 
 from .bdiagram import BDiagram
-from .errors import CapExceeded, SizeMismatch, TooLarge, TooSmall
+from .errors import SizeMismatch, TooLarge, TooSmall, check_cap
 from .perm import Arc, CyclicPerm, all_cyclic_perms, arc_set, trace_components
 
 DEFAULT_CAP = 1_000_000
+#: Largest n an exhaustive scan of (n-1)! permutations accepts: both oracles, census.
 ORACLE_MAX_N = 10
 
 
@@ -60,8 +61,7 @@ def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
     reversed.  The count always matches :func:`count_generators`.
     """
     expected = count_generators(b)
-    if expected > cap:
-        raise CapExceeded(f"{expected} generators exceed the cap {cap}")
+    check_cap(expected, cap, "generators")
     variants = [
         (block,) if len(block) == 1 else (block, block[::-1])
         for block in b.blocks
@@ -90,9 +90,7 @@ def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, 
     n = b.n
     if n > ORACLE_MAX_N:
         raise TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
-    expected = count_generators(b)
-    if expected > cap:
-        raise CapExceeded(f"{expected} generators exceed the cap {cap}")
+    check_cap(count_generators(b), cap, "generators")
     target = b.arcs()
     if n <= 8:
         return tuple(p for p, arcs in _arc_universe(n) if target <= arcs)
@@ -114,8 +112,7 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     starting at the least open end can still join it, so the loop stops past it.
     """
     expected = count_generators(b)
-    if expected > cap:
-        raise CapExceeded(f"{expected} completions exceed the cap {cap}")
+    check_cap(expected, cap, "completions")
     n = b.n
     have = b.arcs()
     mate: list[int | None] = [None] * (n + 1)

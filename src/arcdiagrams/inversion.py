@@ -21,12 +21,10 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, TooLarge
-from .generation import DEFAULT_CAP
+from .errors import TooLarge, check_cap
+from .generation import DEFAULT_CAP, ORACLE_MAX_N
 from .perm import Classification, CyclicPerm, all_cyclic_perms
 from .words import check_cycle_word, cycle_word
-
-ORACLE_MAX_N = 10
 
 
 def classes_from_word(word: str) -> Classification:
@@ -135,10 +133,7 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
     before listing when the count exceeds ``cap``.
     """
     total = count_perms_from_word(word)
-    if total > cap:
-        raise CapExceeded(
-            f"{total} permutations have the word {word}, over the cap {cap}"
-        )
+    check_cap(total, cap, f"permutations with the word {word}")
     n = len(word)
     found: list[tuple[int, ...]] = []
 
@@ -179,10 +174,8 @@ def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
     if n > ORACLE_MAX_N:
         raise TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
     # below 3 vertices there is no universe; all_cyclic_perms refuses it
-    if n >= 3 and factorial(n - 1) > cap:
-        raise CapExceeded(
-            f"{factorial(n - 1)} permutations to scan exceed the cap {cap}"
-        )
+    if n >= 3:
+        check_cap(factorial(n - 1), cap, "permutations to scan")
     return tuple(p for p in all_cyclic_perms(n) if cycle_word(p) == word)
 
 

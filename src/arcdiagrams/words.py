@@ -13,6 +13,9 @@ Words draw as paths of unit steps.  There are two dialects:
   step down, one up), while a / A / e stay single, so a letter may span
   two steps and the path length is the word length plus the number of
   r, R and k letters.
+
+Every per-letter rule (degree, steps in either dialect, inflation) is read
+off :data:`ARCS`, the arcs opening and closing at a vertex of each class.
 """
 
 from __future__ import annotations
@@ -27,21 +30,24 @@ from .perm import Classification, CyclicPerm, arc_set, classify
 CYCLE_ALPHABET = "rRk"
 BLOCK_ALPHABET = "aAekrR"
 
-#: Net change in open-arc count contributed by each letter.
-DEGREES = {"R": -2, "A": -1, "e": 0, "k": 0, "a": 1, "r": 2}
+#: (arcs opening, arcs closing) at a vertex of each class.
+ARCS = {"r": (2, 0), "R": (0, 2), "k": (1, 1), "a": (1, 0), "A": (0, 1), "e": (0, 0)}
 
-_CYCLE_STEPS = {"r": (1,), "R": (-1,), "k": (0,)}
-_BLOCK_STEPS = {
-    "a": (1,),
-    "A": (-1,),
-    "e": (0,),
-    "r": (1, 1),
-    "R": (-1, -1),
-    "k": (-1, 1),
+
+def _degree(letter: str) -> int:
+    opening, closing = ARCS[letter]
+    return opening - closing
+
+
+# a cycle vertex meets two arcs, so its one step is half its degree; a block
+# vertex steps down per closing arc, then up per opening one (k is a valley),
+# or once flat (e)
+_STEP_TABLES = {
+    "cycle": {c: (_degree(c) // 2,) for c in CYCLE_ALPHABET},
+    "block": {c: (-1,) * ARCS[c][1] + (1,) * ARCS[c][0] or (0,) for c in BLOCK_ALPHABET},
 }
-_STEP_TABLES = {"cycle": _CYCLE_STEPS, "block": _BLOCK_STEPS}
-
-_INFLATE = {"a": "a", "A": "A", "e": "e", "r": "aa", "R": "AA", "k": "Aa"}
+# a letter meeting at most one arc is one step, its degree: a up, A down, e flat
+_SINGLE_STEP = {_degree(c): c for c in BLOCK_ALPHABET if sum(ARCS[c]) <= 1}
 
 
 def _check_letters(word: str, alphabet: str) -> None:
@@ -92,8 +98,7 @@ def word_predicates(word: str) -> WordPredicates:
     prefix has strictly more r than R, i.e. the path only touches the
     axis at its endpoints.
     """
-    _check_letters(word, CYCLE_ALPHABET)
-    heights = list(accumulate(_CYCLE_STEPS[c][0] for c in word))
+    heights = path_steps(word, "cycle").heights
     is_motzkin = heights[-1] == 0 and min(heights) >= 0
     is_elevated = all(h > 0 for h in heights[:-1])
     return WordPredicates(is_motzkin, is_motzkin and "k" not in word, is_elevated)
@@ -147,7 +152,7 @@ def dyck_parity_word(p: CyclicPerm) -> str:
 
 
 def degree_vector(word: str) -> tuple[int, ...]:
-    """Per-letter net change in open arcs: R -2, A -1, e/k 0, a +1, r +2.
+    """Arcs opening minus arcs closing per letter: R -2, A -1, e/k 0, a +1, r +2.
 
     No validity judgement is made.
 
@@ -155,7 +160,7 @@ def degree_vector(word: str) -> tuple[int, ...]:
     (2, 1, 2, -1, -2, -1, -1)
     """
     _check_letters(word, BLOCK_ALPHABET)
-    return tuple(DEGREES[c] for c in word)
+    return tuple(_degree(c) for c in word)
 
 
 @dataclass(frozen=True)
@@ -194,15 +199,15 @@ def path_steps(word: str, dialect: str) -> StepPath:
 def inflate(word: str) -> str:
     """Expand a six-letter word to single-step letters over ``a``/``A``/``e``.
 
-    r becomes aa, R becomes AA, k becomes Aa; the others are unchanged.
-    The block path of the input equals the block path of the output, so
-    the output length is the input's block step count.
+    Each unit step of the block path is spelled by its single-step letter,
+    so r becomes aa, R becomes AA, k becomes Aa and the others are
+    unchanged.  The output has the same block path as the input by
+    construction, hence one letter per block step.
 
     >>> inflate("arAkAA")
     'aaaAAaAA'
     """
-    _check_letters(word, BLOCK_ALPHABET)
-    return "".join(_INFLATE[c] for c in word)
+    return "".join(_SINGLE_STEP[step] for step in path_steps(word, "block").steps)
 
 
 @lru_cache(maxsize=None)

@@ -4,16 +4,28 @@ The helpers here deliberately avoid the library's own code paths where
 they serve as cross-checks: ``value_class_word`` classifies vertices by
 comparing entries with their cyclic neighbours instead of reading the arc
 set, ``arc_graph_shape`` uses a union-find instead of the library's walker,
-``crossing_brute_force`` scans every arc subset, and ``crossing_chain_dp``
-runs a quadratic chain DP at each boundary.
+``crossing_brute_force`` scans every arc subset, ``crossing_chain_dp``
+runs a quadratic chain DP at each boundary, and ``block_word_screen``
+applies the block-word screens from literal step tables.
 """
 
 import itertools
 import random
+from itertools import accumulate
 
 from hypothesis import strategies as st
 
-from arcdiagrams import BDiagram
+from arcdiagrams import BDiagram, InvalidReason
+
+# unit steps of each letter's block path, written out by hand
+BLOCK_STEPS = {
+    "a": (1,),
+    "A": (-1,),
+    "e": (0,),
+    "r": (1, 1),
+    "R": (-1, -1),
+    "k": (-1, 1),
+}
 
 
 def value_class_word(seq):
@@ -29,6 +41,26 @@ def value_class_word(seq):
         else:
             letter[v] = "k"
     return "".join(letter[v] for v in range(1, n + 1))
+
+
+def block_word_screen(word):
+    """First screen a block word fails, as an InvalidReason, or None.
+
+    In order: a negative degree prefix before the last letter, a nonzero
+    total, an endpoint letter that closes (first) or opens (last) an arc,
+    and a unit-step path that dips below the axis.  Realizability itself is
+    not screened.
+    """
+    degrees = [sum(BLOCK_STEPS[c]) for c in word]
+    if min(accumulate(degrees[:-1]), default=0) < 0:
+        return InvalidReason.NEGATIVE_PREFIX
+    if sum(degrees):
+        return InvalidReason.NONZERO_TOTAL
+    if word[0] in "ARk" or word[-1] in "ark":
+        return InvalidReason.BAD_ENDPOINTS
+    if min(accumulate(s for c in word for s in BLOCK_STEPS[c])) < 0:
+        return InvalidReason.NEGATIVE_PREFIX
+    return None
 
 
 def arc_subsets(n):

@@ -39,6 +39,7 @@ from arcdiagrams.cli import main
 from conftest import (
     arc_graph_shape,
     arc_subsets,
+    block_word_screen,
     crossing_brute_force,
     crossing_chain_dp,
     random_bdiagram,
@@ -176,12 +177,16 @@ class TestValidateBlockWord:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_verdict_matches_diagram_words(self, n):
+        # the reason is the first failed screen, or Unrealizable after all pass
         words = {block_word(b) for b in all_bdiagrams(n)}
         for word in map("".join, itertools.product("aAekrR", repeat=n)):
             result = validate_block_word(word)
             assert result.ok == (word in words), word
             if result.ok:
                 assert block_word(result.witness) == word
+            else:
+                reason = block_word_screen(word) or InvalidReason.UNREALIZABLE
+                assert result.reason is reason, word
 
 
 class TestRealizationScale:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,14 @@ MOTZKIN_ART = """\
  /\\/ \\_
 /      \\
 12345678"""
+
+BLOCK_ART = """\
+  /\\
+ /  \\/\\
+/      \\
+12 34 56"""
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -187,6 +196,12 @@ class TestGenerators:
         code, out, err = run(capsys, "generators", singletons, "--list")
         assert code == 3 and out == "" and "cap" in err
 
+    def test_huge_count_over_cap_is_short(self, capsys):
+        singletons = " | ".join(map(str, range(1, 2001)))
+        code, out, err = run(capsys, "generators", singletons, "--list", "--cap", "1000")
+        assert code == 3 and out == "" and len(err) < 200
+        assert "5733-digit" in err
+
     def test_tiny_count(self, capsys):
         code, out, _ = run(capsys, "generators", "--count", "1 2 | 3")
         assert code == 0 and out.strip() == "2"
@@ -274,6 +289,7 @@ class TestRender:
         code, out, _ = run(capsys, "render", "--kind=bword", "arAkAA")
         assert code == 0
         assert out.splitlines()[-1] == "12 34 56"
+        assert out.rstrip("\n") == BLOCK_ART
 
     def test_invalid_word(self, capsys):
         code, _, err = run(capsys, "render", "--kind=word", "rR")
@@ -283,6 +299,10 @@ class TestRender:
         svg = render_svg("arAkAA", "block")
         assert svg.startswith("<svg") and "<polyline" in svg
         assert svg.count("<text") == 6
+
+    def test_svg_golden(self, capsys):
+        code, out, _ = run(capsys, "render", "--kind=bword", "--format=svg", "arAkAA")
+        assert code == 0 and out == (GOLDEN / "arAkAA.svg").read_text()
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "render", "--kind=bword", "--format=svg", "arAkAA")

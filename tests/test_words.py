@@ -20,8 +20,10 @@ from arcdiagrams import (
     parse_perm,
     path_steps,
     reindex_word,
+    step_groups,
     word_predicates,
 )
+from arcdiagrams.words import ARCS
 
 
 class TestCycleWord:
@@ -181,6 +183,29 @@ class TestInflate:
             assert path_steps(inflate(word), "block") == path_steps(word, "block")
             extra = sum(word.count(c) for c in "rRk")
             assert len(inflate(word)) == len(word) + extra
+
+
+@pytest.mark.parametrize(
+    "letter, arcs, degree, block, cycle, inflated",
+    [
+        ("r", (2, 0), 2, (1, 1), (1,), "aa"),
+        ("R", (0, 2), -2, (-1, -1), (-1,), "AA"),
+        ("k", (1, 1), 0, (-1, 1), (0,), "Aa"),
+        ("a", (1, 0), 1, (1,), None, "a"),
+        ("A", (0, 1), -1, (-1,), None, "A"),
+        ("e", (0, 0), 0, (0,), None, "e"),
+    ],
+)
+def test_letter_rules(letter, arcs, degree, block, cycle, inflated):
+    assert ARCS[letter] == arcs
+    assert degree_vector(letter) == (degree,)
+    assert step_groups(letter, "block") == (block,)
+    if cycle is None:
+        with pytest.raises(AlphabetMismatch):
+            step_groups(letter, "cycle")
+    else:
+        assert step_groups(letter, "cycle") == (cycle,)
+    assert inflate(letter) == inflated
 
 
 class TestNumberSequences:
