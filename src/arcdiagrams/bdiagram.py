@@ -22,9 +22,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     AlreadyPresent,
@@ -38,26 +37,26 @@ from .errors import (
     OutOfRange,
     WouldCycle,
 )
-from .perm import Arc, CyclicPerm, arc_set, arc_text, trace_components
+from .perm import Arc, CyclicPerm, _Value, arc_set, arc_text, trace_components
 from .words import ARCS, degree_vector
 
 _CLASS_LETTER = {arcs: letter for letter, arcs in ARCS.items()}
 
 
-@dataclass(frozen=True)
-class BDiagram:
+class BDiagram(_Value):
     """Ordered blocks over [n]; equality is positional, see :meth:`normalized`."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        if not self.blocks or any(not b for b in self.blocks):
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "blocks", blocks)
+        if not blocks or any(not b for b in blocks):
             raise EmptyBlock("blocks must be nonempty")
-        flat = [v for block in self.blocks for v in block]
+        flat = [v for block in blocks for v in block]
         n = len(flat)
         if set(flat) != set(range(1, n + 1)):
-            raise NotAPermutation(f"blocks must partition 1..{n}: {self.blocks}")
-        if any(len(b) == n for b in self.blocks):
+            raise NotAPermutation(f"blocks must partition 1..{n}: {blocks}")
+        if any(len(b) == n for b in blocks):
             raise BlockTooLong(f"a block may hold at most {n - 1} of the {n} vertices")
 
     @property
@@ -112,8 +111,7 @@ def parse_bdiagram(text: str) -> BDiagram:
     return BDiagram(tuple(blocks))
 
 
-@dataclass(frozen=True)
-class BClassification:
+class BClassification(NamedTuple):
     """The six vertex classes of a b-diagram."""
 
     R: frozenset[int]
@@ -131,10 +129,7 @@ def classify_bdiagram(b: BDiagram) -> BClassification:
     def having(letter: str) -> frozenset[int]:
         return frozenset(v for v, c in enumerate(word, 1) if c == letter)
 
-    return BClassification(
-        R=having("r"), Rbar=having("R"), K=having("k"),
-        A=having("a"), Abar=having("A"), L=having("e"),
-    )
+    return BClassification(*map(having, "rRkaAe"))  # R, Rbar, K, A, Abar, L
 
 
 def block_word(b: BDiagram) -> str:
@@ -155,8 +150,7 @@ class InvalidReason(Enum):
     UNREALIZABLE = "Unrealizable"
 
 
-@dataclass(frozen=True)
-class WordCheck:
+class WordCheck(NamedTuple):
     """Outcome of :func:`validate_block_word`: a witness or a reason."""
 
     ok: bool

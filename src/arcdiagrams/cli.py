@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import factorial
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bdiagram import (
     add_arc,
@@ -116,8 +115,7 @@ def render_svg(word: str, dialect: str) -> str:
 
 # ------------------------------------------------------------------- census
 
-@dataclass(frozen=True)
-class SplitException:
+class SplitException(NamedTuple):
     """A word whose permutations defy the split by smallest non-r second entry."""
 
     word: str
@@ -126,8 +124,7 @@ class SplitException:
     example: str
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     n: int
     perm_count: int
     word_count: int
@@ -157,7 +154,9 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
     if n < 3:
         raise TooSmall(f"census needs n >= 3, got {n}")
     if n > ORACLE_MAX_N:
-        raise TooLarge(f"census refuses n={n} > {ORACLE_MAX_N}")
+        exc = TooLarge(f"census refuses n={n} > {ORACLE_MAX_N}")
+        exc.requested, exc.limit = n, ORACLE_MAX_N
+        raise exc
     check_cap(factorial(n - 1), cap, "permutations")
     groups: dict[str, list[tuple[int, ...]]] = {}
     count = 0
@@ -353,15 +352,7 @@ def _cmd_census(args) -> int:
             "expected": report.dyck_expected,
             "pass": report.dyck_pass,
         },
-        "split_exceptions": [
-            {
-                "word": e.word,
-                "expected_second": e.expected_second,
-                "count": e.count,
-                "example": e.example,
-            }
-            for e in report.split_exceptions
-        ],
+        "split_exceptions": [e._asdict() for e in report.split_exceptions],
     }
     return _emit(args, payload, census_lines(report))
 
@@ -461,19 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # print a generator count whole, past the 4,300 digits str() allows by default
-    if hasattr(sys, "set_int_max_str_digits"):
+    # print a generator count whole, past the 4,300 digits str() allows by
+    # default, then give the caller its own limit back (0 or absent: none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return 0 if exc.code in (0, None) else 1
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

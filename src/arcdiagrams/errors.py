@@ -21,7 +21,7 @@ class ParseError(DiagramError):
 
 
 class CapError(DiagramError):
-    """A size guard refused to start the computation."""
+    """A size guard refused to start: ``requested`` is over ``limit``."""
 
     exit_code = 3
 

@@ -18,9 +18,9 @@ universe (:func:`generators_oracle`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .bdiagram import BDiagram
 from .errors import SizeMismatch, TooLarge, TooSmall, check_cap
@@ -89,7 +89,9 @@ def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, 
     """Brute force: filter every cyclic permutation by arc containment."""
     n = b.n
     if n > ORACLE_MAX_N:
-        raise TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
+        exc = TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
+        exc.requested, exc.limit = n, ORACLE_MAX_N
+        raise exc
     check_cap(count_generators(b), cap, "generators")
     target = b.arcs()
     if n <= 8:
@@ -152,8 +154,7 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     return tuple(CyclicPerm(seq) for seq in sorted(found))
 
 
-@dataclass(frozen=True)
-class CommonGenerators:
+class CommonGenerators(NamedTuple):
     """Intersection of two generator sets plus the arc-subset relation.
 
     The subset flags compare arcs only; isolated vertices never constrain

@@ -172,7 +172,9 @@ def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
     """
     n = len(word)
     if n > ORACLE_MAX_N:
-        raise TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
+        exc = TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
+        exc.requested, exc.limit = n, ORACLE_MAX_N
+        raise exc
     # below 3 vertices there is no universe; all_cyclic_perms refuses it
     if n >= 3:
         check_cap(factorial(n - 1), cap, "permutations to scan")

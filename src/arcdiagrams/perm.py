@@ -22,12 +22,42 @@ arc diagram.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator
 
 from .errors import NotAPermutation, NotNormalized, TooSmall
 
 Arc = tuple[int, int]
+
+
+class _Value:
+    """An immutable record over its ``__slots__``, which ``__init__`` sets by
+    ``object.__setattr__``.  Equal only within its class, it hashes as the
+    tuple of its fields and prints as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__  # del passes no value
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._values()
 
 
 def arc_text(arcs: Iterable[Arc], isolated: Iterable[int] = ()) -> str:
@@ -103,24 +133,28 @@ def trace_components(n: int, arcs: Iterable[Arc]) -> list[tuple[tuple[int, ...],
     return components
 
 
-@dataclass(frozen=True, order=True)
-class CyclicPerm:
-    """A cyclic permutation of {1..n} in one-line form, first entry 1.
+@total_ordering
+class CyclicPerm(_Value):
+    """A cyclic permutation of {1..n} in one-line form, first entry 1; ordered by ``seq``.
 
     >>> CyclicPerm((1, 3, 2)).n
     3
     """
 
-    seq: tuple[int, ...]
+    __slots__ = ("seq",)
 
-    def __post_init__(self):
-        n = len(self.seq)
-        if set(self.seq) != set(range(1, n + 1)):  # n entries, so none repeats
-            raise NotAPermutation(f"not a permutation of 1..{n}: {self.seq}")
+    def __init__(self, seq: tuple[int, ...]):
+        object.__setattr__(self, "seq", seq)
+        n = len(seq)
+        if set(seq) != set(range(1, n + 1)):  # n entries, so none repeats
+            raise NotAPermutation(f"not a permutation of 1..{n}: {seq}")
         if n < 3:
             raise TooSmall(f"need at least 3 vertices, got {n}")
-        if self.seq[0] != 1:
-            raise NotNormalized(f"first entry must be 1, got {self.seq[0]}")
+        if seq[0] != 1:
+            raise NotNormalized(f"first entry must be 1, got {seq[0]}")
+
+    def __lt__(self, other):
+        return self.seq < other.seq if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def n(self) -> int:
@@ -159,20 +193,20 @@ def parse_perm(text: str) -> CyclicPerm:
     return CyclicPerm(values)
 
 
-@dataclass(frozen=True)
-class CycleDiagram:
+class CycleDiagram(_Value):
     """The arc set of a cyclic permutation: one n-cycle drawn linearly."""
 
-    n: int
-    arcs: frozenset[Arc]
+    __slots__ = ("n", "arcs")
 
-    def __post_init__(self):
-        if len(self.arcs) != self.n:
-            raise ValueError(f"expected {self.n} arcs, got {len(self.arcs)}")
-        for i, j in self.arcs:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad arc ({i}, {j}) for n={self.n}")
-        components = trace_components(self.n, self.arcs)
+    def __init__(self, n: int, arcs: frozenset[Arc]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", arcs)
+        if len(arcs) != n:
+            raise ValueError(f"expected {n} arcs, got {len(arcs)}")
+        for i, j in arcs:
+            if not (1 <= i < j <= n):
+                raise ValueError(f"bad arc ({i}, {j}) for n={n}")
+        components = trace_components(n, arcs)
         if len(components) != 1 or not components[0][1]:
             raise ValueError("arcs do not form a single spanning cycle")
 
@@ -197,21 +231,21 @@ def arc_set(p: CyclicPerm) -> CycleDiagram:
     return CycleDiagram(p.n, frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Partition of the vertices into left ramphoids, right ramphoids and
     keratoids.  Always ``|R| == |Rbar|`` and ``2|R| + |K| == n``."""
 
-    R: frozenset[int]
-    Rbar: frozenset[int]
-    K: frozenset[int]
+    __slots__ = ("R", "Rbar", "K")
 
-    def __post_init__(self):
-        n = len(self.R) + len(self.Rbar) + len(self.K)
+    def __init__(self, R: frozenset[int], Rbar: frozenset[int], K: frozenset[int]):
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "Rbar", Rbar)
+        object.__setattr__(self, "K", K)
+        n = len(R) + len(Rbar) + len(K)
         # the union has at most n members, so holding 1..n makes them disjoint
-        if not (self.R | self.Rbar | self.K).issuperset(range(1, n + 1)):
+        if not (R | Rbar | K).issuperset(range(1, n + 1)):
             raise ValueError("classes must partition 1..n")
-        if len(self.R) != len(self.Rbar):
+        if len(R) != len(Rbar):
             raise ValueError("left and right ramphoids must be equinumerous")
 
     @property

@@ -20,9 +20,9 @@ off :data:`ARCS`, the arcs opening and closing at a vertex of each class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import AlphabetMismatch, HasKeratoids, LengthMismatch, NotAWord
 from .perm import Classification, CyclicPerm, arc_set, classify
@@ -83,8 +83,7 @@ def cycle_word(p: CyclicPerm) -> str:
     return word_of_classes(classify(arc_set(p)))
 
 
-@dataclass(frozen=True)
-class WordPredicates:
+class WordPredicates(NamedTuple):
     is_motzkin: bool
     is_dyck: bool
     is_elevated: bool
@@ -163,8 +162,7 @@ def degree_vector(word: str) -> tuple[int, ...]:
     return tuple(_degree(c) for c in word)
 
 
-@dataclass(frozen=True)
-class StepPath:
+class StepPath(NamedTuple):
     """A lattice path as unit steps, each +1 (up), -1 (down) or 0 (flat)."""
 
     steps: tuple[int, ...]

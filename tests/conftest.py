@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from hypothesis import strategies as st
 
-from arcdiagrams import BDiagram, InvalidReason
+from arcdiagrams import BDiagram, CyclicPerm, InvalidReason
 
 # unit steps of each letter's block path, written out by hand
 BLOCK_STEPS = {
@@ -167,3 +167,28 @@ def elevated_motzkin_words(draw, max_n, max_height=None, max_k=None):
         height += {"r": 1, "R": -1, "k": 0}[letter]
         letters.append(letter)
     return "".join(letters) + "R"
+
+
+@st.composite
+def cyclic_perms(draw, max_n):
+    """Cyclic permutations of [n] for n = 3..max_n."""
+    n = draw(st.integers(3, max_n))
+    return CyclicPerm((1, *draw(st.permutations(range(2, n + 1)))))
+
+
+@st.composite
+def generated_bdiagrams(draw, max_n):
+    """A cyclic permutation and a b-diagram it generates.
+
+    The cycle is cut at two or more of its arcs; the pieces are the blocks,
+    in any order and either orientation.
+    """
+    p = draw(cyclic_perms(max_n))
+    cuts = sorted(draw(st.sets(st.integers(0, p.n - 1), min_size=2)))
+    seq = p.seq
+    # cut i removes the arc into seq[i]; the last piece wraps past the end
+    pieces = [seq[i:j] for i, j in zip(cuts, cuts[1:])]
+    pieces.append(seq[cuts[-1]:] + seq[: cuts[0]])
+    pieces = draw(st.permutations(pieces))
+    flips = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+    return p, BDiagram(tuple(b[::-1] if f else b for b, f in zip(pieces, flips)))

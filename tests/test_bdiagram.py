@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from arcdiagrams import (
@@ -42,6 +42,7 @@ from conftest import (
     block_word_screen,
     crossing_brute_force,
     crossing_chain_dp,
+    generated_bdiagrams,
     random_bdiagram,
 )
 
@@ -215,9 +216,9 @@ class TestRealizationScale:
 
 
 @st.composite
-def bdiagrams(draw):
-    """Shuffled labels on up to 40 vertices cut into at least two blocks."""
-    n = draw(st.integers(2, 40))
+def bdiagrams(draw, max_n=40):
+    """Shuffled labels on up to ``max_n`` vertices cut into at least two blocks."""
+    n = draw(st.integers(2, max_n))
     labels = draw(st.permutations(range(1, n + 1)))
     cuts = draw(st.sets(st.integers(1, n - 1), min_size=1))
     bounds = [0, *sorted(cuts), n]
@@ -239,6 +240,32 @@ class TestRealizationProperties:
         # R can only be joined to each other: three arcs on three vertices
         result = validate_block_word(block_word(b) + "rkR")
         assert result.reason is InvalidReason.UNREALIZABLE
+
+
+class TestValueProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(bdiagrams(max_n=30))
+    def test_parse_str_round_trip_equal_and_hash_alike(self, b):
+        again = parse_bdiagram(str(b))
+        assert again is not b and again == b and hash(again) == hash(b)
+
+    @settings(derandomize=True, deadline=None)
+    @given(bdiagrams(max_n=30), st.data())
+    def test_remove_then_add_restores_normalized(self, b, data):
+        arcs = sorted(b.arcs())
+        assume(arcs)
+        arc = data.draw(st.sampled_from(arcs))
+        assert add_arc(remove_arc(b, arc), arc).normalized() == b.normalized()
+
+    @settings(derandomize=True, deadline=None)
+    @given(generated_bdiagrams(max_n=30))
+    def test_complement_twice_normalizes(self, generated):
+        p, b = generated
+        try:
+            once = complement(p, b)
+        except NotRepresentable:
+            reject()  # the cut set is a cycle or one path through every vertex
+        assert complement(p, once) == b.normalized()
 
 
 class TestCutSet:

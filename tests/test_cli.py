@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -31,6 +35,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def int_str_limit(digits):
+    """Run a block under Python's int-to-str digit limit ``digits`` (0: none)."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 class TestClassify:
@@ -189,12 +204,30 @@ class TestGenerators:
     def test_count_past_str_digit_limit(self, capsys):
         # 1999! has 5,733 digits, past the 4,300 that str() allows by default
         singletons = " | ".join(map(str, range(1, 2001)))
-        code, out, _ = run(capsys, "generators", singletons)
+        with int_str_limit(4300):
+            code, out, _ = run(capsys, "generators", singletons)
+            _, out_json, _ = run(capsys, "generators", singletons, "--json")
         assert code == 0 and len(out) == 5734 and out.startswith("1")
-        code, out, _ = run(capsys, "generators", singletons, "--json")
-        assert code == 0 and json.loads(out)["count"] == math.factorial(1999)
+        with int_str_limit(0):  # the test itself reads all 5,733 digits back
+            assert out == f"{math.factorial(1999)}\n"
+            assert json.loads(out_json)["count"] == math.factorial(1999)
         code, out, err = run(capsys, "generators", singletons, "--list")
         assert code == 3 and out == "" and "cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["inflate", "aA"], ["inflate", "aQ"], ["census", "11"], ["frobnicate"], ["--help"]],
+        ids=["ok", "parse-error", "too-large", "usage-error", "help"],
+    )
+    def test_main_gives_back_the_callers_digit_limit(self, capsys, argv):
+        with int_str_limit(4300):
+            main(argv)
+            assert sys.get_int_max_str_digits() == 4300
+            with pytest.raises(ValueError):
+                str(math.factorial(1999))
+        with int_str_limit(0):
+            main(argv)
+            assert sys.get_int_max_str_digits() == 0
 
     def test_huge_count_over_cap_is_short(self, capsys):
         singletons = " | ".join(map(str, range(1, 2001)))
@@ -344,6 +377,22 @@ class TestCensus:
         assert code == 0 and out.startswith("n=6 cyclic permutations=120")
         code, out, _ = run(capsys, "census", "6", "--cap", "119")
         assert code == 3 and out == ""
+
+
+class TestStartup:
+    def test_import_loads_no_code_generators(self):
+        # every CLI command starts an interpreter, so what the import loads
+        # is paid per command: dataclasses alone pulls in inspect, ast, dis
+        code = "import sys, arcdiagrams.cli; print(*sorted(sys.modules))"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        loaded = set(done.stdout.split())
+        assert not {"dataclasses", "inspect"} & loaded
+        # perfbench's tracer wraps functions in each of these after the import
+        for module in ("perm", "words", "inversion", "bdiagram", "generation", "cli"):
+            assert f"arcdiagrams.{module}" in loaded
 
 
 class TestUsage:

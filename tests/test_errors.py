@@ -5,6 +5,7 @@ import pytest
 from arcdiagrams import (
     BDiagram,
     CapExceeded,
+    TooLarge,
     complete_table,
     enumerate_generators,
     generators_oracle,
@@ -12,8 +13,9 @@ from arcdiagrams import (
     perms_from_word,
     perms_from_word_oracle,
 )
-from arcdiagrams.cli import census_report
+from arcdiagrams.cli import census_report, main
 from arcdiagrams.errors import check_cap
+from arcdiagrams.generation import ORACLE_MAX_N
 
 SEVEN = parse_bdiagram("1 | 2 | 3 | 4 | 5 | 6 | 7")
 
@@ -35,6 +37,30 @@ def test_every_cap_site_reports_both_numbers(guard, requested):
         guard(5)
     assert (info.value.requested, info.value.limit) == (requested, 5)
     assert f"{requested} " in str(info.value) and "cap 5" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "guard, message",
+    [
+        (lambda: census_report(11), "census refuses n=11 > 10"),
+        (lambda: generators_oracle(BDiagram(((1, 2), *((v,) for v in range(3, 12))))),
+         "oracle refuses n=11 > 10"),
+        (lambda: perms_from_word_oracle("r" * 11), "oracle refuses n=11 > 10"),
+    ],
+    ids=["census", "generators-oracle", "invert-oracle"],
+)
+def test_every_size_guard_reports_both_numbers(guard, message):
+    with pytest.raises(TooLarge) as info:
+        guard()
+    assert (info.value.requested, info.value.limit) == (11, ORACLE_MAX_N)
+    assert str(info.value) == message and info.value.exit_code == 3
+
+
+def test_size_guard_message_and_exit_code_on_the_command_line(capsys):
+    assert main(["census", "11"]) == 3
+    assert capsys.readouterr() == ("", "error: census refuses n=11 > 10\n")
+    assert main(["invert", "r" * 11, "--oracle"]) == 3
+    assert capsys.readouterr() == ("", "error: oracle refuses n=11 > 10\n")
 
 
 def test_huge_count_is_stated_by_digits():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from arcdiagrams import (
     Classification,
@@ -14,7 +15,7 @@ from arcdiagrams import (
     cycle_word,
     parse_perm,
 )
-from conftest import arc_graph_shape, arc_subsets, value_class_word
+from conftest import arc_graph_shape, arc_subsets, cyclic_perms, value_class_word
 
 
 class TestParse:
@@ -53,6 +54,12 @@ class TestParse:
     def test_str_round_trip(self):
         text = "1 3 2 7 8 4 5 6"
         assert str(parse_perm(text)) == text
+
+    @settings(derandomize=True, deadline=None)
+    @given(cyclic_perms(max_n=30))
+    def test_parse_str_round_trip_equal_and_hash_alike(self, p):
+        again = parse_perm(str(p))
+        assert again is not p and again == p and hash(again) == hash(p)
 
     def test_cyclic_indexing(self):
         p = parse_perm("1 3 2")
