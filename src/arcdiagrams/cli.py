@@ -1,13 +1,14 @@
 """Command-line front end, path rendering, and the census harness.
 
-Exit codes: 0 success, 1 unparseable input, 2 domain rule violated,
-3 size guard tripped.
+Exit codes: 0 success, 1 unparseable input or stdout closed early (a
+broken pipe), 2 domain rule violated, 3 size guard tripped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import accumulate, chain
 from math import factorial
@@ -158,38 +159,35 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
         exc.requested, exc.limit = n, ORACLE_MAX_N
         raise exc
     check_cap(factorial(n - 1), cap, "permutations")
-    groups: dict[str, list[tuple[int, ...]]] = {}
+    # per word: [expected second entry, permutations off the split, the
+    # first of them]; the enumeration is lexicographic, so the first is the least
+    tallies: dict[str, list] = {}
     count = 0
     for p in all_cyclic_perms(n):
         count += 1
-        groups.setdefault(cycle_word(p), []).append(p.seq)
-    exceptions = []
-    for word in sorted(groups):
-        expected_second = min(
-            i + 1 for i, c in enumerate(word) if c in "Rk"
-        )
+        word = cycle_word(p)
+        tally = tallies.get(word)
+        if tally is None:
+            # the smallest vertex that is not a left ramphoid
+            tally = tallies[word] = [len(word) - len(word.lstrip("r")) + 1, 0, None]
+        seq = p.seq
         # the reverse of seq has second entry seq[-1]
-        bad = [
-            seq
-            for seq in groups[word]
-            if seq[1] != expected_second and seq[-1] != expected_second
-        ]
-        if bad:
-            exceptions.append(
-                SplitException(
-                    word=word,
-                    expected_second=expected_second,
-                    count=len(bad),
-                    example=" ".join(str(v) for v in min(bad)),
-                )
-            )
+        if seq[1] != tally[0] and seq[-1] != tally[0]:
+            tally[1] += 1
+            if tally[2] is None:
+                tally[2] = seq
+    exceptions = [
+        SplitException(word, expected, off, " ".join(map(str, first)))
+        for word, (expected, off, first) in sorted(tallies.items())
+        if off
+    ]
     dyck_expected = catalan_number((n - 2) // 2) if n % 2 == 0 else 0
     return CensusReport(
         n=n,
         perm_count=count,
-        word_count=len(groups),
+        word_count=len(tallies),
         motzkin_expected=motzkin_number(n - 2),
-        dyck_count=sum(1 for w in groups if "k" not in w),
+        dyck_count=sum(1 for w in tallies if "k" not in w),
         dyck_expected=dyck_expected,
         split_exceptions=tuple(exceptions),
     )
@@ -471,4 +469,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``... | head -1``); point stdout at /dev/null so
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -253,18 +253,30 @@ class Classification(_Value):
         return len(self.R) + len(self.Rbar) + len(self.K)
 
 
+def opening_counts(diagram: CycleDiagram) -> list[int]:
+    """Arcs opening at each vertex 1..n: 2 at a left ramphoid, 1 at a
+    keratoid, 0 at a right ramphoid.  :func:`classify` and the cycle words
+    read the classes off this one count.
+
+    >>> opening_counts(arc_set(CyclicPerm((1, 3, 2))))
+    [2, 1, 0]
+    """
+    opens = [0] * (diagram.n + 1)
+    for i, _ in diagram.arcs:
+        opens[i] += 1
+    del opens[0]
+    return opens
+
+
 def classify(diagram: CycleDiagram) -> Classification:
     """Classify vertices by how many of their two arcs open there.
 
     A vertex that is the smaller endpoint of both its arcs is a left
     ramphoid, of neither a right ramphoid, and of one a keratoid.
     """
-    opens = [0] * (diagram.n + 1)
-    for i, _ in diagram.arcs:
-        opens[i] += 1
     by_opens = ([], [], [])  # vertices where 0, 1 or 2 arcs open
-    for v in range(1, diagram.n + 1):
-        by_opens[opens[v]].append(v)
+    for v, count in enumerate(opening_counts(diagram), start=1):
+        by_opens[count].append(v)
     Rbar, K, R = map(frozenset, by_opens)
     return Classification(R, Rbar, K)
 

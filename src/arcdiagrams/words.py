@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import AlphabetMismatch, HasKeratoids, LengthMismatch, NotAWord
-from .perm import Classification, CyclicPerm, arc_set, classify
+from .perm import Classification, CyclicPerm, arc_set, opening_counts
 
 CYCLE_ALPHABET = "rRk"
 BLOCK_ALPHABET = "aAekrR"
@@ -48,6 +48,8 @@ _STEP_TABLES = {
 }
 # a letter meeting at most one arc is one step, its degree: a up, A down, e flat
 _SINGLE_STEP = {_degree(c): c for c in BLOCK_ALPHABET if sum(ARCS[c]) <= 1}
+# a cycle vertex's letter, indexed by how many of its two arcs open there
+_CYCLE_LETTER = sorted(CYCLE_ALPHABET, key=lambda c: ARCS[c][0])
 
 
 def _check_letters(word: str, alphabet: str) -> None:
@@ -77,10 +79,13 @@ def cycle_word(p: CyclicPerm) -> str:
     order the cycle visits them).  A permutation and its reverse share one
     diagram, hence one word.
 
+    The letter is read straight off the validated arc set: 2, 1 or 0 arcs
+    opening at a vertex spell r, k or R.
+
     >>> cycle_word(CyclicPerm((1, 3, 2, 7, 8, 4, 5, 6)))
     'rrRrkRkR'
     """
-    return word_of_classes(classify(arc_set(p)))
+    return "".join([_CYCLE_LETTER[count] for count in opening_counts(arc_set(p))])
 
 
 class WordPredicates(NamedTuple):
@@ -142,7 +147,7 @@ def dyck_parity_word(p: CyclicPerm) -> str:
     Vertex i gets ``r`` exactly when its position in the sequence is odd.
     Equals :func:`cycle_word` whenever the latter has no ``k``.
     """
-    if classify(arc_set(p)).K:
+    if 1 in opening_counts(arc_set(p)):  # a keratoid opens one arc
         raise HasKeratoids(f"{p} has keratoid vertices")
     letters = [""] * p.n
     for i, v in enumerate(p.seq):
@@ -174,6 +179,12 @@ class StepPath(NamedTuple):
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+# namedtuple's own _make (and _replace through it) checks len() against the
+# one field, which __len__ above makes the step count; a NamedTuple body may
+# not redefine _make, so it is set here
+StepPath._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def step_groups(word: str, dialect: str) -> tuple[tuple[int, ...], ...]:

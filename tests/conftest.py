@@ -7,6 +7,11 @@ set, ``arc_graph_shape`` uses a union-find instead of the library's walker,
 ``crossing_brute_force`` scans every arc subset, ``crossing_chain_dp``
 runs a quadratic chain DP at each boundary, and ``block_word_screen``
 applies the block-word screens from literal step tables.
+
+``classification_oracle`` and ``census_grouping_oracle`` keep earlier
+versions of ``classify`` and ``census_report``: the classes built as
+frozensets from a count of opening arcs, and the census that groups every
+permutation by its word before looking for split exceptions.
 """
 
 import itertools
@@ -15,7 +20,17 @@ from itertools import accumulate
 
 from hypothesis import strategies as st
 
-from arcdiagrams import BDiagram, CyclicPerm, InvalidReason
+from arcdiagrams import (
+    BDiagram,
+    Classification,
+    CyclicPerm,
+    InvalidReason,
+    all_cyclic_perms,
+    catalan_number,
+    cycle_word,
+    motzkin_number,
+)
+from arcdiagrams.cli import CensusReport, SplitException
 
 # unit steps of each letter's block path, written out by hand
 BLOCK_STEPS = {
@@ -41,6 +56,46 @@ def value_class_word(seq):
         else:
             letter[v] = "k"
     return "".join(letter[v] for v in range(1, n + 1))
+
+
+def classification_oracle(diagram):
+    """Classes of a cycle diagram: left ramphoids open both arcs, right none."""
+    opens = [0] * (diagram.n + 1)
+    for i, _ in diagram.arcs:
+        opens[i] += 1
+    by_opens = ([], [], [])  # vertices where 0, 1 or 2 arcs open
+    for v in range(1, diagram.n + 1):
+        by_opens[opens[v]].append(v)
+    Rbar, K, R = map(frozenset, by_opens)
+    return Classification(R, Rbar, K)
+
+
+def census_grouping_oracle(n):
+    """The census of [n] from every permutation grouped by its word."""
+    groups = {}
+    for p in all_cyclic_perms(n):
+        groups.setdefault(cycle_word(p), []).append(p.seq)
+    exceptions = []
+    for word in sorted(groups):
+        expected_second = min(i + 1 for i, c in enumerate(word) if c in "Rk")
+        # the reverse of seq has second entry seq[-1]
+        bad = [
+            seq
+            for seq in groups[word]
+            if seq[1] != expected_second and seq[-1] != expected_second
+        ]
+        if bad:
+            example = " ".join(str(v) for v in min(bad))
+            exceptions.append(SplitException(word, expected_second, len(bad), example))
+    return CensusReport(
+        n=n,
+        perm_count=sum(map(len, groups.values())),
+        word_count=len(groups),
+        motzkin_expected=motzkin_number(n - 2),
+        dyck_count=sum(1 for w in groups if "k" not in w),
+        dyck_expected=catalan_number((n - 2) // 2) if n % 2 == 0 else 0,
+        split_exceptions=tuple(exceptions),
+    )
 
 
 def block_word_screen(word):

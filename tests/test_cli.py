@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcdiagrams import canonical_generator, parse_bdiagram, parse_perm
-from arcdiagrams.cli import main, render_ascii, render_svg
-from conftest import elevated_motzkin_words, random_bdiagram
+from arcdiagrams.cli import census_report, main, render_ascii, render_svg
+from conftest import census_grouping_oracle, elevated_motzkin_words, random_bdiagram
 
 MOTZKIN_ART = """\
     _
@@ -378,6 +378,10 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "6", "--cap", "119")
         assert code == 3 and out == ""
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_single_pass_matches_grouping_oracle(self, n):
+        assert census_report(n) == census_grouping_oracle(n)
+
 
 class TestStartup:
     def test_import_loads_no_code_generators(self):
@@ -393,6 +397,27 @@ class TestStartup:
         # perfbench's tracer wraps functions in each of these after the import
         for module in ("perm", "words", "inversion", "bdiagram", "generation", "cli"):
             assert f"arcdiagrams.{module}" in loaded
+
+
+class TestBrokenPipe:
+    def test_reader_leaving_early_gives_no_traceback(self):
+        # 131,072 lines, far more than a pipe buffers, so the CLI is still
+        # writing when the reader closes its end (``... | head -1``)
+        code = "from arcdiagrams.cli import run; run()"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "invert", "rrkkkkkkkkRR"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1, 2, 3)
+        assert first == b"1 3 4 5 6 7 8 9 10 11 2 12\n"
+        assert b"Traceback" not in err
 
 
 class TestUsage:

@@ -15,7 +15,15 @@ from arcdiagrams import (
     cycle_word,
     parse_perm,
 )
-from conftest import arc_graph_shape, arc_subsets, cyclic_perms, value_class_word
+from arcdiagrams.inversion import sequence_word
+from arcdiagrams.words import word_of_classes
+from conftest import (
+    arc_graph_shape,
+    arc_subsets,
+    classification_oracle,
+    cyclic_perms,
+    value_class_word,
+)
 
 
 class TestParse:
@@ -131,6 +139,24 @@ class TestCycleDiagramValidation:
         with pytest.raises(ValueError):
             CycleDiagram(6, two_triangles)
 
+    @pytest.mark.parametrize(
+        "n, arcs, message",
+        [
+            (4, {(1, 2), (2, 3), (3, 4)}, "expected 4 arcs, got 3"),
+            (3, {(1, 2), (2, 3), (3, 4)}, "bad arc (3, 4) for n=3"),
+            (4, {(1, 2), (1, 3), (1, 4), (2, 3)}, "a vertex meets more than two arcs"),
+            (
+                6,
+                {(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)},
+                "arcs do not form a single spanning cycle",
+            ),
+        ],
+    )
+    def test_rejection_message(self, n, arcs, message):
+        with pytest.raises(ValueError) as caught:
+            CycleDiagram(n, frozenset(arcs))
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_accepts_exactly_spanning_cycles(self, n):
         for arcs in arc_subsets(n):
@@ -179,6 +205,26 @@ class TestClassify:
                     for v in range(1, n + 1)
                 )
                 assert word == cycle_word(p) == value_class_word(p.seq)
+
+    @staticmethod
+    def check_against_frozenset_pipeline(p):
+        # the word read off the arc set against the classes built as
+        # frozensets, then spelled, and against the word read off the sequence
+        diagram = arc_set(p)
+        cls = classification_oracle(diagram)
+        assert classify(diagram) == cls
+        assert cycle_word(p) == word_of_classes(cls) == sequence_word(p.seq)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_word_read_off_matches_frozenset_pipeline(self, n):
+        for p in all_cyclic_perms(n):
+            self.check_against_frozenset_pipeline(p)
+
+    @settings(derandomize=True, deadline=None)
+    @given(cyclic_perms(30))
+    def test_word_read_off_matches_frozenset_pipeline_large(self, p):
+        self.check_against_frozenset_pipeline(p)
+        assert cycle_word(p) == value_class_word(p.seq)
 
 
 class TestClassificationValidation:

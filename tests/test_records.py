@@ -169,3 +169,15 @@ def test_word_check_defaults():
 
 def test_step_path_length_counts_steps():
     assert len(StepPath((1, 0, -1, 0))) == 4
+
+
+def test_step_path_replace_and_make_round_trip():
+    path = StepPath((1, 0, -1))
+    shorter = path._replace(steps=(1, -1))
+    assert shorter == StepPath((1, -1)) and len(shorter) == 2
+    assert shorter._replace(steps=path.steps) == path
+    assert StepPath._make([path.steps]) == path
+    assert StepPath._make(path) == path
+    assert type(StepPath._make(path)) is StepPath
+    with pytest.raises(ValueError):
+        path._replace(heights=(1,))
