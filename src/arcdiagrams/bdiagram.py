@@ -43,6 +43,11 @@ from .words import ARCS, degree_vector
 _CLASS_LETTER = {arcs: letter for letter, arcs in ARCS.items()}
 
 
+def _oriented(block: tuple[int, ...]) -> tuple[int, ...]:
+    """``block`` read from its smaller end (a single vertex as it is)."""
+    return block if block[0] <= block[-1] else block[::-1]
+
+
 class BDiagram(_Value):
     """Ordered blocks over [n]; equality is positional, see :meth:`normalized`."""
 
@@ -84,10 +89,7 @@ class BDiagram(_Value):
 
     def normalized(self) -> BDiagram:
         """Canonical form: blocks oriented small end first, sorted by minimum."""
-        oriented = [
-            b if len(b) == 1 or b[0] < b[-1] else b[::-1] for b in self.blocks
-        ]
-        return BDiagram(tuple(sorted(oriented, key=min)))
+        return BDiagram(tuple(sorted(map(_oriented, self.blocks), key=min)))
 
     def arc_notation(self) -> str:
         """Brace notation with isolated vertices listed bare, e.g. ``{13,2,48,56,7}``."""
@@ -391,9 +393,7 @@ def add_arc(b: BDiagram, arc: Arc) -> BDiagram:
 
     a_part = ending_at(b.blocks[where[x]], x)
     c_part = ending_at(b.blocks[where[y]], y)[::-1]
-    merged = a_part + c_part
-    if merged[0] > merged[-1]:
-        merged = merged[::-1]
+    merged = _oriented(a_part + c_part)
     blocks = [
         merged if idx == first else block
         for idx, block in enumerate(b.blocks)
@@ -408,11 +408,7 @@ def remove_arc(b: BDiagram, arc: Arc) -> BDiagram:
     for idx, block in enumerate(b.blocks):
         for t in range(len(block) - 1):
             if {block[t], block[t + 1]} == {lo, hi}:
-                left, right = block[: t + 1], block[t + 1 :]
-                pieces = [
-                    p if len(p) == 1 or p[0] < p[-1] else p[::-1]
-                    for p in (left, right)
-                ]
+                pieces = [_oriented(block[: t + 1]), _oriented(block[t + 1 :])]
                 blocks = (
                     list(b.blocks[:idx]) + pieces + list(b.blocks[idx + 1 :])
                 )

@@ -25,10 +25,8 @@ from .bdiagram import (
     transpose_labels,
     validate_block_word,
 )
-from .errors import DiagramError, TooLarge, TooSmall, check_cap
+from .errors import DEFAULT_CAP, DiagramError, TooSmall, check_cap, check_scan
 from .generation import (
-    DEFAULT_CAP,
-    ORACLE_MAX_N,
     complete_table,
     count_generators,
     enumerate_generators,
@@ -154,10 +152,7 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
     """
     if n < 3:
         raise TooSmall(f"census needs n >= 3, got {n}")
-    if n > ORACLE_MAX_N:
-        exc = TooLarge(f"census refuses n={n} > {ORACLE_MAX_N}")
-        exc.requested, exc.limit = n, ORACLE_MAX_N
-        raise exc
+    check_scan(n, "census")
     check_cap(factorial(n - 1), cap, "permutations")
     # per word: [expected second entry, permutations off the split, the
     # first of them]; the enumeration is lexicographic, so the first is the least

@@ -2,10 +2,14 @@
 
 Three families, matching the command-line exit codes: text that cannot be
 parsed at all (exit 1), inputs that parse but break a domain rule (exit 2),
-and guards that refuse oversized computations (exit 3).
+and guards that refuse oversized computations (exit 3), with their bounds.
 """
 
 from math import log10
+
+DEFAULT_CAP = 1_000_000
+#: Largest n an exhaustive scan of (n-1)! permutations accepts: both oracles, census.
+ORACLE_MAX_N = 10
 
 
 class DiagramError(ValueError):
@@ -127,3 +131,11 @@ def check_cap(count: int, cap: int, what: str) -> None:
     exc = CapExceeded(f"{size} {what} exceed the cap {cap}")
     exc.requested, exc.limit = count, cap
     raise exc
+
+
+def check_scan(n: int, who: str) -> None:
+    """Raise :class:`TooLarge`, with ``requested`` and ``limit``, past ``ORACLE_MAX_N``."""
+    if n > ORACLE_MAX_N:
+        exc = TooLarge(f"{who} refuses n={n} > {ORACLE_MAX_N}")
+        exc.requested, exc.limit = n, ORACLE_MAX_N
+        raise exc

@@ -23,12 +23,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .bdiagram import BDiagram
-from .errors import SizeMismatch, TooLarge, TooSmall, check_cap
-from .perm import Arc, CyclicPerm, all_cyclic_perms, arc_set, trace_components
-
-DEFAULT_CAP = 1_000_000
-#: Largest n an exhaustive scan of (n-1)! permutations accepts: both oracles, census.
-ORACLE_MAX_N = 10
+from .errors import DEFAULT_CAP, SizeMismatch, TooSmall, check_cap, check_scan
+from .perm import Arc, CyclicPerm, all_cyclic_perms, arc_set, sorted_perms, trace_components
 
 
 def canonical_generator(b: BDiagram) -> CyclicPerm:
@@ -66,18 +62,14 @@ def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
         (block,) if len(block) == 1 else (block, block[::-1])
         for block in b.blocks
     ]
-    found = set()
+    found = []
     for order in itertools.permutations(range(1, b.block_count)):
         slots = [variants[0]] + [variants[i] for i in order]
         for choice in itertools.product(*slots):
             flat = tuple(v for block in choice for v in block)
             at = flat.index(1)
-            found.add(flat[at:] + flat[:at])
-    if len(found) != expected:
-        raise RuntimeError(
-            f"arrangement count {len(found)} != formula {expected} for {b}"
-        )
-    return tuple(CyclicPerm(seq) for seq in sorted(found))
+            found.append(flat[at:] + flat[:at])
+    return sorted_perms(found, expected, f"arrangements of {b}")
 
 
 @lru_cache(maxsize=8)
@@ -88,10 +80,7 @@ def _arc_universe(n: int) -> tuple[tuple[CyclicPerm, frozenset[Arc]], ...]:
 def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """Brute force: filter every cyclic permutation by arc containment."""
     n = b.n
-    if n > ORACLE_MAX_N:
-        exc = TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
-        exc.requested, exc.limit = n, ORACLE_MAX_N
-        raise exc
+    check_scan(n, "oracle")
     check_cap(count_generators(b), cap, "generators")
     target = b.arcs()
     if n <= 8:
@@ -147,11 +136,7 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
             mate[i], mate[j] = ei, ej
 
     search(0, b.block_count)
-    if len(found) != expected:
-        raise RuntimeError(
-            f"completion count {len(found)} != formula {expected} for {b}"
-        )
-    return tuple(CyclicPerm(seq) for seq in sorted(found))
+    return sorted_perms(found, expected, f"completions of {b}")
 
 
 class CommonGenerators(NamedTuple):

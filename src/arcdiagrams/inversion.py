@@ -21,9 +21,8 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .errors import TooLarge, check_cap
-from .generation import DEFAULT_CAP, ORACLE_MAX_N
-from .perm import Classification, CyclicPerm, all_cyclic_perms
+from .errors import DEFAULT_CAP, check_cap, check_scan
+from .perm import Classification, CyclicPerm, all_cyclic_perms, sorted_perms
 from .words import check_cycle_word, cycle_word
 
 
@@ -159,9 +158,7 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
                         sweep(v + 1, rest + (p + (v,) + q,))
 
     sweep(1, ())
-    if len(found) != total:
-        raise RuntimeError(f"sweep count {len(found)} != count {total} for {word}")
-    return tuple(CyclicPerm(seq) for seq in sorted(found))
+    return sorted_perms(found, total, f"cycles with the word {word}")
 
 
 def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
@@ -171,10 +168,7 @@ def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
     (n-1)! permutations to scan exceed ``cap``.
     """
     n = len(word)
-    if n > ORACLE_MAX_N:
-        exc = TooLarge(f"oracle refuses n={n} > {ORACLE_MAX_N}")
-        exc.requested, exc.limit = n, ORACLE_MAX_N
-        raise exc
+    check_scan(n, "oracle")
     # below 3 vertices there is no universe; all_cyclic_perms refuses it
     if n >= 3:
         check_cap(factorial(n - 1), cap, "permutations to scan")

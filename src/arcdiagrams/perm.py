@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from functools import total_ordering
+from operator import lt
 from typing import Iterable, Iterator
 
 from .errors import NotAPermutation, NotNormalized, TooSmall
@@ -179,6 +180,18 @@ class CyclicPerm(_Value):
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.seq)
+
+
+def sorted_perms(found: list, expected: int, what: str) -> tuple[CyclicPerm, ...]:
+    """The listed sequences ``found`` as permutations in lexicographic order.
+
+    The shared tail of every listing route: raises ``RuntimeError`` unless
+    ``found`` holds exactly ``expected`` sequences, all distinct.
+    """
+    found = sorted(found)
+    if len(found) != expected or not all(map(lt, found, found[1:])):
+        raise RuntimeError(f"{what}: {len(found)} listed, not {expected} distinct")
+    return tuple(CyclicPerm(seq) for seq in found)
 
 
 def parse_perm(text: str) -> CyclicPerm:

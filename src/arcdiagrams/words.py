@@ -147,7 +147,7 @@ def dyck_parity_word(p: CyclicPerm) -> str:
     Vertex i gets ``r`` exactly when its position in the sequence is odd.
     Equals :func:`cycle_word` whenever the latter has no ``k``.
     """
-    if 1 in opening_counts(arc_set(p)):  # a keratoid opens one arc
+    if "k" in cycle_word(p):
         raise HasKeratoids(f"{p} has keratoid vertices")
     letters = [""] * p.n
     for i, v in enumerate(p.seq):

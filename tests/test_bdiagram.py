@@ -74,6 +74,8 @@ class TestParse:
             parse_bdiagram("1 2 ||3")
         with pytest.raises(EmptyBlock):
             parse_bdiagram("")
+        with pytest.raises(EmptyBlock, match="blocks must be nonempty"):
+            BDiagram(())
 
     def test_not_a_permutation(self):
         with pytest.raises(NotAPermutation):

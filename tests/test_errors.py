@@ -14,8 +14,7 @@ from arcdiagrams import (
     perms_from_word_oracle,
 )
 from arcdiagrams.cli import census_report, main
-from arcdiagrams.errors import check_cap
-from arcdiagrams.generation import ORACLE_MAX_N
+from arcdiagrams.errors import ORACLE_MAX_N, check_cap
 
 SEVEN = parse_bdiagram("1 | 2 | 3 | 4 | 5 | 6 | 7")
 

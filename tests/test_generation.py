@@ -127,6 +127,13 @@ class TestOracle:
     def test_48(self):
         assert len(generators_oracle(parse_bdiagram("1 6 | 2 3 | 4 8 7 | 5"))) == 48
 
+    def test_rescan_past_the_cached_universe(self):
+        # n = 9 skips the cached arc sets and rescans all 8! permutations
+        b = parse_bdiagram("1 2 3 4 5 6 7 | 8 | 9")
+        found = generators_oracle(b)
+        assert len(found) == count_generators(b) == 4
+        assert found == enumerate_generators(b) == complete_table(b)
+
     def test_too_large(self):
         blocks = "1 2 | " + " | ".join(str(v) for v in range(3, 12))
         with pytest.raises(TooLarge):

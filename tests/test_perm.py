@@ -16,6 +16,7 @@ from arcdiagrams import (
     parse_perm,
 )
 from arcdiagrams.inversion import sequence_word
+from arcdiagrams.perm import sorted_perms
 from arcdiagrams.words import word_of_classes
 from conftest import (
     arc_graph_shape,
@@ -101,6 +102,7 @@ class TestArcSet:
         assert d.sorted_arcs() == (
             (1, 3), (1, 6), (2, 3), (2, 7), (4, 5), (4, 8), (5, 6), (7, 8),
         )
+        assert str(d) == "{13,16,23,27,45,48,56,78}"
 
     def test_triangle(self):
         assert arc_set(parse_perm("1 2 3")).arcs == {(1, 2), (1, 3), (2, 3)}
@@ -258,6 +260,20 @@ class TestEnumeration:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             list(all_cyclic_perms(2))
+
+
+class TestSortedPerms:
+    @pytest.mark.parametrize(
+        "found, expected",
+        [
+            ([(1, 3, 2), (1, 2, 3), (1, 3, 2)], 3),  # a duplicate fills the count
+            ([(1, 2, 3)], 2),  # one short
+        ],
+    )
+    def test_rejects(self, found, expected):
+        with pytest.raises(RuntimeError) as info:
+            sorted_perms(found, expected, "cycles")
+        assert str(info.value) == f"cycles: {len(found)} listed, not {expected} distinct"
 
 
 class TestArcText:

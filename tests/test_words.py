@@ -143,6 +143,8 @@ class TestDegreeVector:
     def test_bad_letters(self):
         with pytest.raises(AlphabetMismatch):
             degree_vector("rxr")
+        with pytest.raises(AlphabetMismatch, match="empty word"):
+            degree_vector("")
 
 
 class TestPaths:
@@ -225,3 +227,8 @@ class TestNumberSequences:
     def test_known_values(self):
         assert [motzkin_number(k) for k in range(8)] == [1, 1, 2, 4, 9, 21, 51, 127]
         assert [catalan_number(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
+
+    @pytest.mark.parametrize("number", [motzkin_number, catalan_number])
+    def test_negative_index(self, number):
+        with pytest.raises(ValueError, match="nonnegative"):
+            number(-1)
