@@ -37,7 +37,7 @@ from .errors import (
     OutOfRange,
     WouldCycle,
 )
-from .perm import Arc, CyclicPerm, _Value, arc_set, arc_text, trace_components
+from .perm import Arc, CyclicPerm, _Value, _neighbours, arc_set, arc_text, trace_components
 from .words import ARCS, degree_vector
 
 _CLASS_LETTER = {arcs: letter for letter, arcs in ARCS.items()}
@@ -360,10 +360,6 @@ def max_crossing(b: BDiagram) -> int:
     return best
 
 
-def _degree(b: BDiagram, v: int) -> int:
-    return sum(1 for i, j in b.arcs() if v in (i, j))
-
-
 def add_arc(b: BDiagram, arc: Arc) -> BDiagram:
     """Join two blocks (or absorb an isolated vertex) with a new arc.
 
@@ -379,7 +375,8 @@ def add_arc(b: BDiagram, arc: Arc) -> BDiagram:
     lo, hi = min(x, y), max(x, y)
     if (lo, hi) in b.arcs():
         raise AlreadyPresent(f"arc ({lo}, {hi}) already present")
-    if _degree(b, lo) > 1 or _degree(b, hi) > 1:
+    _, second = _neighbours(b.n, b.arcs())
+    if second[lo] or second[hi]:
         raise DegreeExceeded("both endpoints must have at most one arc")
     where = {v: idx for idx, block in enumerate(b.blocks) for v in block}
     if where[lo] == where[hi]:

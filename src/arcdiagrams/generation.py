@@ -24,7 +24,15 @@ from typing import NamedTuple
 
 from .bdiagram import BDiagram
 from .errors import DEFAULT_CAP, SizeMismatch, TooSmall, check_cap, check_scan
-from .perm import Arc, CyclicPerm, all_cyclic_perms, arc_set, sorted_perms, trace_components
+from .perm import (
+    Arc,
+    CyclicPerm,
+    all_cyclic_perms,
+    arc_set,
+    sorted_perms,
+    spanning_cycle,
+    trace_components,
+)
 
 
 def canonical_generator(b: BDiagram) -> CyclicPerm:
@@ -116,7 +124,7 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
 
     def search(start: int, left: int) -> None:
         if not left:
-            [(walk, _)] = trace_components(n, have.union(added))
+            walk = spanning_cycle(n, have.union(added))
             found.extend((walk, walk[:1] + walk[:0:-1]))
             return
         low = next(v for v in ends if mate[v] is not None)

@@ -132,7 +132,8 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
     before listing when the count exceeds ``cap``.
     """
     total = count_perms_from_word(word)
-    check_cap(total, cap, f"permutations with the word {word}")
+    shown = word if len(word) <= 40 else f"{word[:20]}… ({len(word)} letters)"
+    check_cap(total, cap, f"permutations with the word {shown}")
     n = len(word)
     found: list[tuple[int, ...]] = []
 

@@ -22,7 +22,7 @@ arc diagram.
 from __future__ import annotations
 
 import itertools
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from operator import lt
 from typing import Iterable, Iterator
 
@@ -80,6 +80,41 @@ def arc_text(arcs: Iterable[Arc], isolated: Iterable[int] = ()) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+def _neighbours(n: int, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
+    """Each vertex's first and second neighbour in arc order, 0 for none: the
+    neighbour table that every walk reads.  Raises ``ValueError``, once all
+    arcs are read, if a vertex meets three or more arcs."""
+    first = [0] * (n + 1)
+    second = [0] * (n + 1)
+    crowded = False
+    for i, j in arcs:
+        if not first[i]:
+            first[i] = j
+        elif not second[i]:
+            second[i] = j
+        else:
+            crowded = True
+        if not first[j]:
+            first[j] = i
+        elif not second[j]:
+            second[j] = i
+        else:
+            crowded = True
+    if crowded:
+        raise ValueError("a vertex meets more than two arcs")
+    return first, second
+
+
+def _walk(first: list[int], second: list[int], start: int, ahead: int) -> list[int]:
+    """The vertices from ``start`` on through ``ahead``, up to a path end or back at start."""
+    walk = [start]
+    prev, cur = start, ahead
+    while cur and cur != start:
+        walk.append(cur)
+        prev, cur = cur, (second[cur] if first[cur] == prev else first[cur])
+    return walk
+
+
 def trace_components(n: int, arcs: Iterable[Arc]) -> list[tuple[tuple[int, ...], bool]]:
     """Walk every component of an arc set on 1..n, visiting each vertex once.
 
@@ -94,44 +129,44 @@ def trace_components(n: int, arcs: Iterable[Arc]) -> list[tuple[tuple[int, ...],
     >>> trace_components(3, [(1, 2), (2, 3), (1, 3)])
     [((1, 2, 3), True)]
     """
-    neighbours: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, j in arcs:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    if max(map(len, neighbours)) > 2:
-        raise ValueError("a vertex meets more than two arcs")
+    first, second = _neighbours(n, arcs)
     seen = [False] * (n + 1)
     components = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        walk = [start]
-        is_cycle = False
-        # extend the walk along each arc at start; the second pass (a path
-        # through start) first turns the walk round so start is its end
-        for cur in neighbours[start]:
-            if seen[cur]:
-                break  # the first pass came back round to start
-            walk.reverse()
-            prev = start
-            while True:
-                seen[cur] = True
-                walk.append(cur)
-                ahead = neighbours[cur]
-                if len(ahead) == 1:
-                    break  # a path end
-                prev, cur = cur, (ahead[1] if ahead[0] == prev else ahead[0])
-                if cur == start:
-                    is_cycle = True
-                    break
-        if is_cycle:
-            if walk[1] > walk[-1]:
-                walk[1:] = walk[:0:-1]
-        elif walk[0] > walk[-1]:
-            walk.reverse()
-        components.append((tuple(walk), is_cycle))
+    # the paths first, each from the end the scan meets first, its smaller;
+    # every vertex left lies on a cycle, met first at its smallest vertex
+    for is_cycle in (False, True):
+        for start in range(1, n + 1):
+            if seen[start] or (second[start] and not is_cycle):
+                continue  # walked already, or not a path end
+            ahead = min(first[start], second[start]) if is_cycle else first[start]
+            walk = _walk(first, second, start, ahead)
+            for v in walk:
+                seen[v] = True
+            components.append((tuple(walk), is_cycle))
+    components.sort(key=lambda component: min(component[0]))
     return components
+
+
+def spanning_cycle(n: int, arcs: frozenset[Arc]) -> tuple[int, ...]:
+    """The cycle that ``arcs`` forms through all of 1..n, walked from 1 towards
+    its smaller neighbour; ``ValueError`` unless the n arcs form just that."""
+    if len(arcs) != n:
+        raise ValueError(f"expected {n} arcs, got {len(arcs)}")
+    for i, j in arcs:
+        if not (1 <= i < j <= n):
+            raise ValueError(f"bad arc ({i}, {j}) for n={n}")
+    first, second = _neighbours(n, arcs)
+    if n:  # n arcs, none at a third: every vertex meets two, so the walk returns to 1
+        walk = _walk(first, second, 1, min(first[1], second[1]))
+        if len(walk) == n:
+            return tuple(walk)
+    raise ValueError("arcs do not form a single spanning cycle")
+
+
+@lru_cache(maxsize=8)
+def _vertices(n: int) -> frozenset[int]:
+    """{1..n}, kept for the few sizes in use rather than built per permutation."""
+    return frozenset(range(1, n + 1))
 
 
 @total_ordering
@@ -147,7 +182,7 @@ class CyclicPerm(_Value):
     def __init__(self, seq: tuple[int, ...]):
         object.__setattr__(self, "seq", seq)
         n = len(seq)
-        if set(seq) != set(range(1, n + 1)):  # n entries, so none repeats
+        if set(seq) != _vertices(n):  # n entries, so none repeats
             raise NotAPermutation(f"not a permutation of 1..{n}: {seq}")
         if n < 3:
             raise TooSmall(f"need at least 3 vertices, got {n}")
@@ -214,14 +249,7 @@ class CycleDiagram(_Value):
     def __init__(self, n: int, arcs: frozenset[Arc]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
-        if len(arcs) != n:
-            raise ValueError(f"expected {n} arcs, got {len(arcs)}")
-        for i, j in arcs:
-            if not (1 <= i < j <= n):
-                raise ValueError(f"bad arc ({i}, {j}) for n={n}")
-        components = trace_components(n, arcs)
-        if len(components) != 1 or not components[0][1]:
-            raise ValueError("arcs do not form a single spanning cycle")
+        spanning_cycle(n, arcs)
 
     def sorted_arcs(self) -> tuple[Arc, ...]:
         return tuple(sorted(self.arcs))

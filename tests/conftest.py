@@ -12,6 +12,9 @@ applies the block-word screens from literal step tables.
 versions of ``classify`` and ``census_report``: the classes built as
 frozensets from a count of opening arcs, and the census that groups every
 permutation by its word before looking for split exceptions.
+``trace_components_reference`` and ``cycle_diagram_check_reference`` keep
+the component walker over per-vertex neighbour lists and the
+``CycleDiagram`` check built on it, from before the flat neighbour table.
 """
 
 import itertools
@@ -96,6 +99,60 @@ def census_grouping_oracle(n):
         dyck_expected=catalan_number((n - 2) // 2) if n % 2 == 0 else 0,
         split_exceptions=tuple(exceptions),
     )
+
+
+def trace_components_reference(n, arcs):
+    """Components of an arc set walked over one neighbour list per vertex."""
+    neighbours = [[] for _ in range(n + 1)]
+    for i, j in arcs:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    if max(map(len, neighbours)) > 2:
+        raise ValueError("a vertex meets more than two arcs")
+    seen = [False] * (n + 1)
+    components = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        seen[start] = True
+        walk = [start]
+        is_cycle = False
+        # extend the walk along each arc at start; the second pass (a path
+        # through start) first turns the walk round so start is its end
+        for cur in neighbours[start]:
+            if seen[cur]:
+                break  # the first pass came back round to start
+            walk.reverse()
+            prev = start
+            while True:
+                seen[cur] = True
+                walk.append(cur)
+                ahead = neighbours[cur]
+                if len(ahead) == 1:
+                    break  # a path end
+                prev, cur = cur, (ahead[1] if ahead[0] == prev else ahead[0])
+                if cur == start:
+                    is_cycle = True
+                    break
+        if is_cycle:
+            if walk[1] > walk[-1]:
+                walk[1:] = walk[:0:-1]
+        elif walk[0] > walk[-1]:
+            walk.reverse()
+        components.append((tuple(walk), is_cycle))
+    return components
+
+
+def cycle_diagram_check_reference(n, arcs):
+    """The checks ``CycleDiagram`` made through the component walker."""
+    if len(arcs) != n:
+        raise ValueError(f"expected {n} arcs, got {len(arcs)}")
+    for i, j in arcs:
+        if not (1 <= i < j <= n):
+            raise ValueError(f"bad arc ({i}, {j}) for n={n}")
+    components = trace_components_reference(n, arcs)
+    if len(components) != 1 or not components[0][1]:
+        raise ValueError("arcs do not form a single spanning cycle")
 
 
 def block_word_screen(word):

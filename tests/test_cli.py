@@ -126,6 +126,12 @@ class TestInvert:
         assert code == 3 and out == "" and "cap" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_cap_message_shortens_a_long_word(self, capsys):
+        code, out, err = run(capsys, "invert", "r" * 100 + "R" * 100, "--cap", "5")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) < 120
+        assert "rrrrrrrrrrrrrrrrrrrr… (200 letters) exceed the cap 5" in err
+
     def test_long_small_fibre_is_fast(self, capsys):
         # n = 20 and 512 permutations: the old candidate-table search took
         # about a minute

@@ -109,6 +109,20 @@ class TestPermsFromWord:
             perms_from_word(word, cap=200_000)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "word, shown",
+        [
+            ("r" * 20 + "R" * 20, "r" * 20 + "R" * 20),  # 40 letters: the whole word
+            ("r" * 20 + "k" + "R" * 20, "r" * 20 + "… (41 letters)"),
+        ],
+    )
+    def test_cap_message_shows_at_most_forty_letters(self, word, shown):
+        with pytest.raises(CapExceeded) as info:
+            perms_from_word(word, cap=5)
+        assert str(info.value).endswith(f" permutations with the word {shown} exceed the cap 5")
+        assert info.value.requested == count_perms_from_word(word)
+        assert info.value.limit == 5
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_sequence_word_matches_arc_set_route(self, n):
         for p in all_cyclic_perms(n):

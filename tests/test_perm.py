@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,15 +18,25 @@ from arcdiagrams import (
     parse_perm,
 )
 from arcdiagrams.inversion import sequence_word
-from arcdiagrams.perm import sorted_perms
+from arcdiagrams.perm import _vertices, sorted_perms, spanning_cycle, trace_components
 from arcdiagrams.words import word_of_classes
 from conftest import (
     arc_graph_shape,
     arc_subsets,
     classification_oracle,
+    cycle_diagram_check_reference,
     cyclic_perms,
+    trace_components_reference,
     value_class_word,
 )
+
+
+def outcome(check, *args):
+    """``("ok", result)`` or ``("ValueError", message)`` for one call."""
+    try:
+        return "ok", check(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestParse:
@@ -169,6 +181,42 @@ class TestCycleDiagramValidation:
             except ValueError:
                 accepted = False
             assert accepted == (components == 1 and set(degrees) == {2}), arcs
+
+
+class TestNeighbourTable:
+    """The walkers over the flat neighbour table against the list-based ones."""
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_trace_components_matches_reference(self, n):
+        for arcs in arc_subsets(n):
+            expected = outcome(trace_components_reference, n, arcs)
+            assert outcome(trace_components, n, arcs) == expected, arcs
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_spanning_cycle_matches_reference(self, n):
+        accepted = 0
+        for arcs in arc_subsets(n):
+            kind, result = outcome(spanning_cycle, n, arcs)
+            if kind == "ok":
+                accepted += 1
+                assert result == trace_components(n, arcs)[0][0], arcs
+                result = None  # the reference check returns nothing
+            assert (kind, result) == outcome(cycle_diagram_check_reference, n, arcs), arcs
+        assert accepted == (factorial(n - 1) // 2 if n >= 3 else 0)
+
+    def test_spanning_cycle_walks_towards_smaller_neighbour(self):
+        arcs = frozenset({(1, 3), (2, 3), (2, 4), (1, 4)})
+        assert spanning_cycle(4, arcs) == (1, 3, 2, 4)
+
+    def test_vertices_cache_with_alternating_sizes(self):
+        _vertices.cache_clear()
+        for _ in range(3):
+            for n in (3, 12, 4, 11, 5, 10, 6, 9, 7, 8, 13, 3):
+                assert _vertices(n) == frozenset(range(1, n + 1))
+                assert CyclicPerm(tuple(range(1, n + 1))).n == n
+                with pytest.raises(NotAPermutation):
+                    CyclicPerm((1,) + tuple(range(3, n + 2)))
+        assert _vertices.cache_info().currsize <= 8
 
 
 class TestClassify:
