@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -37,10 +36,20 @@ from .errors import (
     OutOfRange,
     WouldCycle,
 )
-from .perm import Arc, CyclicPerm, _Value, _neighbours, arc_set, arc_text, trace_components
-from .words import ARCS, degree_vector
-
-_CLASS_LETTER = {arcs: letter for letter, arcs in ARCS.items()}
+from .perm import (
+    ARCS,
+    Arc,
+    CyclicPerm,
+    _neighbours,
+    _Value,
+    _vertices,
+    arc_set,
+    arc_text,
+    arc_word,
+    letter_sets,
+    trace_components,
+)
+from .words import degree_vector
 
 
 def _oriented(block: tuple[int, ...]) -> tuple[int, ...]:
@@ -59,7 +68,7 @@ class BDiagram(_Value):
             raise EmptyBlock("blocks must be nonempty")
         flat = [v for block in blocks for v in block]
         n = len(flat)
-        if set(flat) != set(range(1, n + 1)):
+        if set(flat) != _vertices(n):
             raise NotAPermutation(f"blocks must partition 1..{n}: {blocks}")
         if any(len(b) == n for b in blocks):
             raise BlockTooLong(f"a block may hold at most {n - 1} of the {n} vertices")
@@ -126,12 +135,7 @@ class BClassification(NamedTuple):
 
 def classify_bdiagram(b: BDiagram) -> BClassification:
     """Group vertices by their letter in :func:`block_word`."""
-    word = block_word(b)
-
-    def having(letter: str) -> frozenset[int]:
-        return frozenset(v for v, c in enumerate(word, 1) if c == letter)
-
-    return BClassification(*map(having, "rRkaAe"))  # R, Rbar, K, A, Abar, L
+    return BClassification(*letter_sets(block_word(b), "rRkaAe"))  # R, Rbar, K, A, Abar, L
 
 
 def block_word(b: BDiagram) -> str:
@@ -140,9 +144,7 @@ def block_word(b: BDiagram) -> str:
     >>> block_word(parse_bdiagram("3 1 6 | 2 7 8 | 4 5"))
     'raAaAAkA'
     """
-    opens = Counter(i for i, _ in b.arcs())
-    closes = Counter(j for _, j in b.arcs())
-    return "".join(_CLASS_LETTER[opens[v], closes[v]] for v in range(1, b.n + 1))
+    return arc_word(b.n, b.arcs())
 
 
 class InvalidReason(Enum):
@@ -432,14 +434,10 @@ def all_bdiagrams(n: int) -> Iterator[BDiagram]:
     for parts in _set_partitions(list(range(1, n + 1))):
         if any(len(part) == n for part in parts):
             continue
-        choices = []
-        for part in sorted(parts, key=min):
-            if len(part) == 1:
-                choices.append([tuple(part)])
-            else:
-                choices.append(
-                    [q for q in itertools.permutations(part) if q[0] < q[-1]]
-                )
+        choices = [
+            [q for q in itertools.permutations(part) if q[0] <= q[-1]]
+            for part in sorted(parts, key=min)
+        ]
         for blocks in itertools.product(*choices):
             yield BDiagram(blocks)
 

@@ -145,7 +145,7 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
     """Exhaustively check the word counts over all cyclic permutations of [n].
 
     Confirms that the number of distinct words matches the Motzkin
-    recurrence and the keratoid-free count the Catalan recurrence, and
+    number and the keratoid-free count the Catalan number, and
     lists the words whose permutation sets do not split into "second entry
     equals the smallest non-left-ramphoid vertex" plus reversals.  Raises
     :class:`CapExceeded` before enumerating when (n-1)! exceeds ``cap``.
@@ -218,22 +218,12 @@ def _emit(args, payload: dict, lines: Iterable[str]) -> int:
 
 
 def _cmd_classify(args) -> int:
-    p = parse_perm(args.perm)
-    cls = classify(arc_set(p))
+    cls = classify(arc_set(parse_perm(args.perm)))
     word = word_of_classes(cls)
-    payload = {
-        "R": sorted(cls.R),
-        "Rbar": sorted(cls.Rbar),
-        "K": sorted(cls.K),
-        "word": word,
-    }
-    lines = [
-        "R: " + " ".join(str(v) for v in sorted(cls.R)),
-        "Rbar: " + " ".join(str(v) for v in sorted(cls.Rbar)),
-        "K: " + " ".join(str(v) for v in sorted(cls.K)),
-        "word: " + word,
-    ]
-    return _emit(args, payload, lines)
+    classes = {"R": sorted(cls.R), "Rbar": sorted(cls.Rbar), "K": sorted(cls.K)}
+    lines = [name + ": " + " ".join(map(str, members)) for name, members in classes.items()]
+    lines.append("word: " + word)
+    return _emit(args, {**classes, "word": word}, lines)
 
 
 def _cmd_invert(args) -> int:
@@ -274,11 +264,11 @@ def _cmd_generators(args) -> int:
         count = count_generators(b)
         return _emit(args, {"count": count}, [str(count)])
     methods = {
-        "blocks": lambda: enumerate_generators(b, args.cap),
-        "table": lambda: complete_table(b, args.cap),
-        "oracle": lambda: generators_oracle(b, args.cap),
+        "blocks": enumerate_generators,
+        "table": complete_table,
+        "oracle": generators_oracle,
     }
-    perms = methods[args.method]()
+    perms = methods[args.method](b, args.cap)
     payload = {"count": len(perms), "method": args.method, "perms": perms}
     return _emit(args, payload, map(str, perms))
 
@@ -367,12 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("classify", parents=[common], help="vertex classes and word")
-    s.add_argument("perm")
-    s.set_defaults(func=_cmd_classify)
+    def command(name, func, help, *operands):
+        s = sub.add_parser(name, parents=[common], help=help)
+        for operand in operands:
+            s.add_argument(operand)
+        s.set_defaults(func=func)
+        return s
 
-    s = sub.add_parser("invert", parents=[common], help="permutations of a word")
-    s.add_argument("word")
+    command("classify", _cmd_classify, "vertex classes and word", "perm")
+
+    s = command("invert", _cmd_invert, "permutations of a word", "word")
     group = s.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", help="list every permutation (default)")
     group.add_argument(
@@ -381,20 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="one permutation per reversal pair",
     )
     s.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    s.set_defaults(func=_cmd_invert)
 
-    s = sub.add_parser("bword", parents=[common], help="word of a block diagram")
-    s.add_argument("bdiagram")
-    s.set_defaults(func=_cmd_bword)
-
-    s = sub.add_parser(
-        "validate-word", parents=[common], help="does a six-letter word have a diagram"
+    command("bword", _cmd_bword, "word of a block diagram", "bdiagram")
+    command(
+        "validate-word", _cmd_validate_word, "does a six-letter word have a diagram", "word"
     )
-    s.add_argument("word")
-    s.set_defaults(func=_cmd_validate_word)
 
-    s = sub.add_parser("generators", parents=[common], help="generators of a diagram")
-    s.add_argument("bdiagram")
+    s = command("generators", _cmd_generators, "generators of a diagram", "bdiagram")
     group = s.add_mutually_exclusive_group()
     group.add_argument("--count", action="store_true", help="print the count (default)")
     group.add_argument("--list", action="store_true", help="list the generators")
@@ -404,42 +391,24 @@ def build_parser() -> argparse.ArgumentParser:
         default="blocks",
         help="how to enumerate when listing",
     )
-    s.set_defaults(func=_cmd_generators)
 
-    s = sub.add_parser("cutset", parents=[common], help="arcs removed by a generator")
-    s.add_argument("perm")
-    s.add_argument("bdiagram")
-    s.set_defaults(func=_cmd_cutset)
+    command("cutset", _cmd_cutset, "arcs removed by a generator", "perm", "bdiagram")
+    command("complement", _cmd_complement, "complement of a diagram", "perm", "bdiagram")
+    command("crossing", _cmd_crossing, "largest crossing family", "bdiagram")
+    command("inflate", _cmd_inflate, "expand to single-step letters", "word")
 
-    s = sub.add_parser("complement", parents=[common], help="complement of a diagram")
-    s.add_argument("perm")
-    s.add_argument("bdiagram")
-    s.set_defaults(func=_cmd_complement)
-
-    s = sub.add_parser("crossing", parents=[common], help="largest crossing family")
-    s.add_argument("bdiagram")
-    s.set_defaults(func=_cmd_crossing)
-
-    s = sub.add_parser("inflate", parents=[common], help="expand to single-step letters")
-    s.add_argument("word")
-    s.set_defaults(func=_cmd_inflate)
-
-    s = sub.add_parser("edit", parents=[common], help="add/remove an arc or swap labels")
+    s = command("edit", _cmd_edit, "add/remove an arc or swap labels")
     s.add_argument("op", choices=("add", "remove", "transpose"))
     s.add_argument("bdiagram")
     s.add_argument("i", type=int)
     s.add_argument("j", type=int)
-    s.set_defaults(func=_cmd_edit)
 
-    s = sub.add_parser("render", parents=[common], help="draw a word's path")
-    s.add_argument("input")
+    s = command("render", _cmd_render, "draw a word's path", "input")
     s.add_argument("--kind", choices=("perm", "word", "bword"), default="word")
     s.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    s.set_defaults(func=_cmd_render)
 
-    s = sub.add_parser("census", parents=[common], help="verify word counts for one n")
+    s = command("census", _cmd_census, "verify word counts for one n")
     s.add_argument("n", type=int)
-    s.set_defaults(func=_cmd_census)
 
     return parser
 

@@ -22,16 +22,13 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_CAP, check_cap, check_scan
-from .perm import Classification, CyclicPerm, all_cyclic_perms, sorted_perms
+from .perm import Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
 from .words import check_cycle_word, cycle_word
 
 
 def classes_from_word(word: str) -> Classification:
     """Read the three vertex classes straight off the letters."""
-    R = frozenset(i + 1 for i, c in enumerate(word) if c == "r")
-    Rbar = frozenset(i + 1 for i, c in enumerate(word) if c == "R")
-    K = frozenset(i + 1 for i, c in enumerate(word) if c == "k")
-    return Classification(R, Rbar, K)
+    return Classification(*letter_sets(word, "rRk"))
 
 
 def neighbor_candidates(cls: Classification) -> dict[int, frozenset[int]]:

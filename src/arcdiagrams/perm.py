@@ -15,6 +15,9 @@ sequence or the arc set:
 - right ramphoid: larger than both neighbours, both arcs close there;
 - keratoid: between its neighbours, one arc closes and one opens.
 
+Block diagrams add three letters; :data:`ARCS` lists all six, and
+:func:`arc_word` spells either alphabet off an arc set.
+
 A permutation and its reverse traverse the same cycle, so they share one
 arc diagram.
 """
@@ -29,6 +32,12 @@ from typing import Iterable, Iterator
 from .errors import NotAPermutation, NotNormalized, TooSmall
 
 Arc = tuple[int, int]
+
+#: (arcs opening, arcs closing) at a vertex of each class.
+ARCS = {"r": (2, 0), "R": (0, 2), "k": (1, 1), "a": (1, 0), "A": (0, 1), "e": (0, 0)}
+# translates a vertex's tally byte, 3 * (arcs opening) + (arcs closing), to its letter
+_TALLY = bytes(3 * opening + closing for opening, closing in ARCS.values())
+_LETTER = bytes.maketrans(_TALLY, "".join(ARCS).encode())
 
 
 class _Value:
@@ -294,19 +303,30 @@ class Classification(_Value):
         return len(self.R) + len(self.Rbar) + len(self.K)
 
 
-def opening_counts(diagram: CycleDiagram) -> list[int]:
-    """Arcs opening at each vertex 1..n: 2 at a left ramphoid, 1 at a
-    keratoid, 0 at a right ramphoid.  :func:`classify` and the cycle words
-    read the classes off this one count.
+def arc_word(n: int, arcs: Iterable[Arc]) -> str:
+    """Each vertex's letter, 1..n in natural order, read off how many of ``arcs``
+    (at most two per vertex) open and close there: a cycle or block word.
 
-    >>> opening_counts(arc_set(CyclicPerm((1, 3, 2))))
-    [2, 1, 0]
+    >>> arc_word(3, [(1, 2), (2, 3), (1, 3)])
+    'rkR'
+    >>> arc_word(5, [(1, 3), (3, 4)])
+    'aekAe'
     """
-    opens = [0] * (diagram.n + 1)
-    for i, _ in diagram.arcs:
-        opens[i] += 1
-    del opens[0]
-    return opens
+    tally = [0] * (n + 1)
+    for i, j in arcs:
+        tally[i] += 3
+        tally[j] += 1
+    return bytes(tally[1:]).translate(_LETTER).decode()
+
+
+def letter_sets(word: str, letters: str) -> tuple[frozenset[int], ...]:
+    """The vertices (1-based positions in ``word``) of each of ``letters``,
+    one frozenset per letter; a letter not in ``letters`` is in no set."""
+    where: dict[str, list[int]] = {letter: [] for letter in letters}
+    for v, letter in enumerate(word, 1):
+        if letter in where:
+            where[letter].append(v)
+    return tuple(frozenset(where[letter]) for letter in letters)
 
 
 def classify(diagram: CycleDiagram) -> Classification:
@@ -315,11 +335,7 @@ def classify(diagram: CycleDiagram) -> Classification:
     A vertex that is the smaller endpoint of both its arcs is a left
     ramphoid, of neither a right ramphoid, and of one a keratoid.
     """
-    by_opens = ([], [], [])  # vertices where 0, 1 or 2 arcs open
-    for v, count in enumerate(opening_counts(diagram), start=1):
-        by_opens[count].append(v)
-    Rbar, K, R = map(frozenset, by_opens)
-    return Classification(R, Rbar, K)
+    return Classification(*letter_sets(arc_word(diagram.n, diagram.arcs), "rRk"))
 
 
 def all_cyclic_perms(n: int) -> Iterator[CyclicPerm]:

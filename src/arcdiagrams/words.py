@@ -20,18 +20,15 @@ off :data:`ARCS`, the arcs opening and closing at a vertex of each class.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from typing import NamedTuple
 
 from .errors import AlphabetMismatch, HasKeratoids, LengthMismatch, NotAWord
-from .perm import Classification, CyclicPerm, arc_set, opening_counts
+from .perm import ARCS, Classification, CyclicPerm, arc_set, arc_word
 
 CYCLE_ALPHABET = "rRk"
 BLOCK_ALPHABET = "aAekrR"
-
-#: (arcs opening, arcs closing) at a vertex of each class.
-ARCS = {"r": (2, 0), "R": (0, 2), "k": (1, 1), "a": (1, 0), "A": (0, 1), "e": (0, 0)}
 
 
 def _degree(letter: str) -> int:
@@ -48,8 +45,6 @@ _STEP_TABLES = {
 }
 # a letter meeting at most one arc is one step, its degree: a up, A down, e flat
 _SINGLE_STEP = {_degree(c): c for c in BLOCK_ALPHABET if sum(ARCS[c]) <= 1}
-# a cycle vertex's letter, indexed by how many of its two arcs open there
-_CYCLE_LETTER = sorted(CYCLE_ALPHABET, key=lambda c: ARCS[c][0])
 
 
 def _check_letters(word: str, alphabet: str) -> None:
@@ -85,7 +80,7 @@ def cycle_word(p: CyclicPerm) -> str:
     >>> cycle_word(CyclicPerm((1, 3, 2, 7, 8, 4, 5, 6)))
     'rrRrkRkR'
     """
-    return "".join([_CYCLE_LETTER[count] for count in opening_counts(arc_set(p))])
+    return arc_word(p.n, arc_set(p).arcs)
 
 
 class WordPredicates(NamedTuple):
@@ -219,23 +214,19 @@ def inflate(word: str) -> str:
     return "".join(_SINGLE_STEP[step] for step in path_steps(word, "block").steps)
 
 
-@lru_cache(maxsize=None)
 def motzkin_number(k: int) -> int:
-    """k-th Motzkin number by the convolution recurrence (M0 = M1 = 1)."""
+    """k-th Motzkin number (M0 = M1 = 1), by the three-term recurrence
+    (k+2) M(k) = (2k+1) M(k-1) + (3k-3) M(k-2)."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if k <= 1:
-        return 1
-    return motzkin_number(k - 1) + sum(
-        motzkin_number(i) * motzkin_number(k - 2 - i) for i in range(k - 1)
-    )
+    before, last = 1, 1  # M(i-2), M(i-1) as i runs up to k
+    for i in range(2, k + 1):
+        before, last = last, ((2 * i + 1) * last + (3 * i - 3) * before) // (i + 2)
+    return last
 
 
-@lru_cache(maxsize=None)
 def catalan_number(k: int) -> int:
-    """k-th Catalan number by the convolution recurrence (C0 = 1)."""
+    """k-th Catalan number, C(2k, k) / (k+1) (C0 = 1)."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if k == 0:
-        return 1
-    return sum(catalan_number(i) * catalan_number(k - 1 - i) for i in range(k))
+    return comb(2 * k, k) // (k + 1)

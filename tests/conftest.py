@@ -12,6 +12,10 @@ applies the block-word screens from literal step tables.
 versions of ``classify`` and ``census_report``: the classes built as
 frozensets from a count of opening arcs, and the census that groups every
 permutation by its word before looking for split exceptions.
+``opening_count_word``, ``counter_block_word``, ``scan_bclassification``
+and ``scan_classes_from_word`` keep the letter readers from before the one
+``(opens, closes)`` table: the cycle word from the count of opening arcs,
+the block word from two counters, and class sets from one scan per letter.
 ``trace_components_reference`` and ``cycle_diagram_check_reference`` keep
 the component walker over per-vertex neighbour lists and the
 ``CycleDiagram`` check built on it, from before the flat neighbour table.
@@ -19,11 +23,13 @@ the component walker over per-vertex neighbour lists and the
 
 import itertools
 import random
+from collections import Counter
 from itertools import accumulate
 
 from hypothesis import strategies as st
 
 from arcdiagrams import (
+    BClassification,
     BDiagram,
     Classification,
     CyclicPerm,
@@ -71,6 +77,40 @@ def classification_oracle(diagram):
         by_opens[opens[v]].append(v)
     Rbar, K, R = map(frozenset, by_opens)
     return Classification(R, Rbar, K)
+
+
+def opening_count_word(diagram):
+    """Cycle word of a cycle diagram: 2, 1 or 0 arcs opening spell r, k or R."""
+    opens = [0] * (diagram.n + 1)
+    for i, _ in diagram.arcs:
+        opens[i] += 1
+    return "".join("Rkr"[count] for count in opens[1:])
+
+
+# the letter of a b-diagram vertex by (arcs opening, arcs closing), by hand
+BLOCK_LETTER = {(2, 0): "r", (0, 2): "R", (1, 1): "k", (1, 0): "a", (0, 1): "A", (0, 0): "e"}
+
+
+def counter_block_word(b):
+    """Word of a b-diagram from one counter of opening and one of closing arcs."""
+    opens = Counter(i for i, _ in b.arcs())
+    closes = Counter(j for _, j in b.arcs())
+    return "".join(BLOCK_LETTER[opens[v], closes[v]] for v in range(1, b.n + 1))
+
+
+def letter_scans(word, letters):
+    """One scan of ``word`` per letter, each giving the 1-based positions of it."""
+    return [frozenset(i + 1 for i, c in enumerate(word) if c == letter) for letter in letters]
+
+
+def scan_bclassification(b):
+    """The six classes of a b-diagram, scanned off its counter-built word."""
+    return BClassification(*letter_scans(counter_block_word(b), "rRkaAe"))
+
+
+def scan_classes_from_word(word):
+    """The three classes of a cycle word, one scan per letter."""
+    return Classification(*letter_scans(word, "rRk"))
 
 
 def census_grouping_oracle(n):

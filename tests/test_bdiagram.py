@@ -40,10 +40,12 @@ from conftest import (
     arc_graph_shape,
     arc_subsets,
     block_word_screen,
+    counter_block_word,
     crossing_brute_force,
     crossing_chain_dp,
     generated_bdiagrams,
     random_bdiagram,
+    scan_bclassification,
 )
 
 BRAID = "3 1 6 | 2 7 8 | 4 5"
@@ -123,6 +125,14 @@ class TestBlockWord:
     )
     def test_golden(self, diagram, word):
         assert block_word(parse_bdiagram(diagram)) == word
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_counter_readers(self, n):
+        # the word off the one (opens, closes) table against two counters,
+        # and the class sets against one scan of that word per letter
+        for b in all_bdiagrams(n):
+            assert block_word(b) == counter_block_word(b)
+            assert classify_bdiagram(b) == scan_bclassification(b)
 
     def test_balance_invariant(self):
         for n in range(2, 7):

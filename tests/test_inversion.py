@@ -18,7 +18,7 @@ from arcdiagrams import (
     perms_from_word_oracle,
 )
 from arcdiagrams.inversion import sequence_word
-from conftest import elevated_motzkin_words
+from conftest import elevated_motzkin_words, scan_classes_from_word
 
 MIXED_WORD = "rkrRkR"
 MIXED_PERMS = (
@@ -71,6 +71,31 @@ class TestNeighborCandidates:
             2: frozenset({1, 3}),
             3: frozenset({1, 2}),
         }
+
+
+def outcome(read, word):
+    """``("ok", result)`` or ``("ValueError", message)`` for one call."""
+    try:
+        return "ok", read(word)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestClassesFromWord:
+    def test_matches_one_scan_per_letter_on_every_word(self):
+        words = {cycle_word(p) for n in range(3, 9) for p in all_cyclic_perms(n)}
+        for word in words:
+            assert classes_from_word(word) == scan_classes_from_word(word)
+
+    @pytest.mark.parametrize("word", ["rAR", "rkA", "xyz", "rrR", "Rr", ""])
+    def test_odd_words_fare_as_one_scan_per_letter(self, word):
+        # a letter outside rRk belongs to no class, so Classification sees
+        # sets that miss a vertex and refuses them as it refuses the scans'
+        assert outcome(classes_from_word, word) == outcome(scan_classes_from_word, word)
+
+    def test_foreign_letter_refused(self):
+        with pytest.raises(ValueError, match="classes must partition 1..n"):
+            classes_from_word("rAR")
 
 
 class TestPermsFromWord:

@@ -26,6 +26,7 @@ from conftest import (
     classification_oracle,
     cycle_diagram_check_reference,
     cyclic_perms,
+    opening_count_word,
     trace_components_reference,
     value_class_word,
 )
@@ -263,7 +264,8 @@ class TestClassify:
         diagram = arc_set(p)
         cls = classification_oracle(diagram)
         assert classify(diagram) == cls
-        assert cycle_word(p) == word_of_classes(cls) == sequence_word(p.seq)
+        assert cycle_word(p) == opening_count_word(diagram) == word_of_classes(cls)
+        assert cycle_word(p) == sequence_word(p.seq)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_word_read_off_matches_frozenset_pipeline(self, n):

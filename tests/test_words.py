@@ -213,7 +213,7 @@ def test_letter_rules(letter, arcs, degree, block, cycle, inflated):
 class TestNumberSequences:
     def test_motzkin_closed_form(self):
         # independent check: M_k = sum_j C(k, 2j) * Catalan(j)
-        for k in range(12):
+        for k in [*range(12), 2000]:
             closed = sum(
                 math.comb(k, 2 * j) * math.comb(2 * j, j) // (j + 1)
                 for j in range(k // 2 + 1)
@@ -221,7 +221,7 @@ class TestNumberSequences:
             assert motzkin_number(k) == closed
 
     def test_catalan_closed_form(self):
-        for k in range(12):
+        for k in [*range(12), 2000]:
             assert catalan_number(k) == math.comb(2 * k, k) // (k + 1)
 
     def test_known_values(self):
