@@ -14,25 +14,8 @@ from itertools import accumulate, chain
 from math import factorial
 from typing import Iterable, NamedTuple
 
-from .bdiagram import (
-    add_arc,
-    block_word,
-    complement,
-    cut_set,
-    max_crossing,
-    parse_bdiagram,
-    remove_arc,
-    transpose_labels,
-    validate_block_word,
-)
+from . import bdiagram, generation, inversion
 from .errors import DEFAULT_CAP, DiagramError, TooSmall, check_cap, check_scan
-from .generation import (
-    complete_table,
-    count_generators,
-    enumerate_generators,
-    generators_oracle,
-)
-from .inversion import canonical_half, perms_from_word, perms_from_word_oracle
 from .perm import all_cyclic_perms, arc_set, arc_text, classify, parse_perm
 from .words import (
     catalan_number,
@@ -228,9 +211,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_invert(args) -> int:
     # run the oracle first so its size guard fires before the listing starts
-    oracle = perms_from_word_oracle(args.word, args.cap) if args.oracle else None
-    perms = perms_from_word(args.word, args.cap)
-    shown = canonical_half(perms) if args.canonical_half else perms
+    oracle = inversion.perms_from_word_oracle(args.word, args.cap) if args.oracle else None
+    perms = inversion.perms_from_word(args.word, args.cap)
+    shown = inversion.canonical_half(perms) if args.canonical_half else perms
     payload = {"word": args.word, "perms": shown}
     lines: Iterable[str] = map(str, shown)
     if oracle is not None:
@@ -241,14 +224,14 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_bword(args) -> int:
-    b = parse_bdiagram(args.bdiagram)
-    word = block_word(b)
+    b = bdiagram.parse_bdiagram(args.bdiagram)
+    word = bdiagram.block_word(b)
     payload = {"word": word, "arcs": b.arc_notation(), "blocks": b.blocks}
     return _emit(args, payload, ["word: " + word, "arcs: " + b.arc_notation()])
 
 
 def _cmd_validate_word(args) -> int:
-    result = validate_block_word(args.word)
+    result = bdiagram.validate_block_word(args.word)
     if result.ok:
         payload = {"valid": True, "witness": str(result.witness)}
         lines = ["Valid", f"witness: {result.witness}"]
@@ -259,14 +242,14 @@ def _cmd_validate_word(args) -> int:
 
 
 def _cmd_generators(args) -> int:
-    b = parse_bdiagram(args.bdiagram)
+    b = bdiagram.parse_bdiagram(args.bdiagram)
     if not args.list:
-        count = count_generators(b)
+        count = generation.count_generators(b)
         return _emit(args, {"count": count}, [str(count)])
     methods = {
-        "blocks": enumerate_generators,
-        "table": complete_table,
-        "oracle": generators_oracle,
+        "blocks": generation.enumerate_generators,
+        "table": generation.complete_table,
+        "oracle": generation.generators_oracle,
     }
     perms = methods[args.method](b, args.cap)
     payload = {"count": len(perms), "method": args.method, "perms": perms}
@@ -274,17 +257,18 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_cutset(args) -> int:
-    cut = cut_set(parse_perm(args.perm), parse_bdiagram(args.bdiagram))
+    cut = bdiagram.cut_set(parse_perm(args.perm), bdiagram.parse_bdiagram(args.bdiagram))
     return _emit(args, {"arcs": sorted(cut), "size": len(cut)}, [arc_text(cut)])
 
 
 def _cmd_complement(args) -> int:
-    result = complement(parse_perm(args.perm), parse_bdiagram(args.bdiagram))
+    p = parse_perm(args.perm)
+    result = bdiagram.complement(p, bdiagram.parse_bdiagram(args.bdiagram))
     return _emit(args, {"blocks": result.blocks}, [str(result)])
 
 
 def _cmd_crossing(args) -> int:
-    value = max_crossing(parse_bdiagram(args.bdiagram))
+    value = bdiagram.max_crossing(bdiagram.parse_bdiagram(args.bdiagram))
     return _emit(args, {"max_crossing": value}, [str(value)])
 
 
@@ -294,13 +278,13 @@ def _cmd_inflate(args) -> int:
 
 
 def _cmd_edit(args) -> int:
-    b = parse_bdiagram(args.bdiagram)
+    b = bdiagram.parse_bdiagram(args.bdiagram)
     if args.op == "add":
-        result = add_arc(b, (args.i, args.j))
+        result = bdiagram.add_arc(b, (args.i, args.j))
     elif args.op == "remove":
-        result = remove_arc(b, (args.i, args.j))
+        result = bdiagram.remove_arc(b, (args.i, args.j))
     else:
-        result = transpose_labels(b, args.i, args.j)
+        result = bdiagram.transpose_labels(b, args.i, args.j)
     return _emit(args, {"blocks": result.blocks}, [str(result)])
 
 

@@ -112,11 +112,12 @@ class CapExceeded(CapError):
     pass
 
 
-def check_cap(count: int, cap: int, what: str) -> None:
+def check_cap(count: int, cap: int, what: str, at_least: bool = False) -> None:
     """Raise :class:`CapExceeded`, with ``requested`` and ``limit``, if ``count > cap``.
 
     A count past 30 digits is stated by its number of digits, so the
     message stays short and never meets ``str()``'s limit on huge integers.
+    With ``at_least`` the message calls ``count`` a lower bound.
 
     >>> check_cap(10**40, 100, "generators")
     Traceback (most recent call last):
@@ -128,7 +129,8 @@ def check_cap(count: int, cap: int, what: str) -> None:
     # the float logarithm may round across a power of ten
     digits += (count >= 10**digits) - (count < 10 ** (digits - 1))
     size = count if digits <= 30 else f"a {digits}-digit number of"
-    exc = CapExceeded(f"{size} {what} exceed the cap {cap}")
+    bound = "at least " if at_least else ""
+    exc = CapExceeded(f"{bound}{size} {what} exceed the cap {cap}")
     exc.requested, exc.limit = count, cap
     raise exc
 

@@ -27,8 +27,14 @@ from .words import check_cycle_word, cycle_word
 
 
 def classes_from_word(word: str) -> Classification:
-    """Read the three vertex classes straight off the letters."""
-    return Classification(*letter_sets(word, "rRk"))
+    """Read the three vertex classes straight off the letters.
+
+    A letter outside rRk raises the ``NotAWord`` of :func:`check_cycle_word`.
+    """
+    sets = letter_sets(word, "rRk")
+    if sum(map(len, sets)) < len(word):
+        check_cycle_word(word)  # names the foreign letters
+    return Classification(*sets)
 
 
 def neighbor_candidates(cls: Classification) -> dict[int, frozenset[int]]:
@@ -76,7 +82,7 @@ def sequence_word(seq: Sequence[int]) -> str:
     return "".join(letters)
 
 
-def count_perms_from_word(word: str) -> int:
+def count_perms_from_word(word: str, cap: int | None = None) -> int:
     """Number of cyclic permutations whose word is ``word``, without listing them.
 
     Sweeps the vertices left to right.  Before each vertex the arcs already
@@ -88,12 +94,19 @@ def count_perms_from_word(word: str) -> int:
     ``R`` closes the one path left.  Each cycle is counted once, and two
     permutations walk it.  Raises ``NotAWord`` like :func:`perms_from_word`.
 
+    Every state the sweep reaches completes to at least one cycle, so after
+    each letter twice the ways so far bound the count from below.  Given a
+    ``cap``, raises ``CapExceeded`` with that bound as soon as it passes the
+    cap; a count within the cap is exact.
+
     >>> count_perms_from_word("rkrRkR")
     8
     >>> count_perms_from_word("rrkkkkkkkkkkkkkkRR")
     536870912
     """
     check_cycle_word(word)
+    shown = word if len(word) <= 40 else f"{word[:20]}… ({len(word)} letters)"
+    what = f"permutations with the word {shown}"
     states = {(0, 0): 1}  # (k, s) -> number of ways
     for letter in word[:-1]:
         after: dict[tuple[int, int], int] = defaultdict(int)
@@ -114,6 +127,8 @@ def count_perms_from_word(word: str) -> int:
                 if longer >= 2:
                     after[k - 1, s] += ways * 2 * longer * (longer - 1)
         states = after
+        if cap is not None:
+            check_cap(2 * sum(states.values()), cap, what, at_least=True)
     return 2 * states.get((1, 0), 0)
 
 
@@ -128,9 +143,7 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
     reversal.  Raises ``NotAWord`` for a non-word and ``CapExceeded``
     before listing when the count exceeds ``cap``.
     """
-    total = count_perms_from_word(word)
-    shown = word if len(word) <= 40 else f"{word[:20]}… ({len(word)} letters)"
-    check_cap(total, cap, f"permutations with the word {shown}")
+    total = count_perms_from_word(word, cap)
     n = len(word)
     found: list[tuple[int, ...]] = []
 

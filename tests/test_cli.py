@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcdiagrams
 from arcdiagrams import canonical_generator, parse_bdiagram, parse_perm
 from arcdiagrams.cli import census_report, main, render_ascii, render_svg
 from conftest import census_grouping_oracle, elevated_motzkin_words, random_bdiagram
@@ -131,6 +132,15 @@ class TestInvert:
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) < 120
         assert "rrrrrrrrrrrrrrrrrrrr… (200 letters) exceed the cap 5" in err
+
+    def test_huge_fibre_refused_in_bounded_time(self, capsys):
+        # the whole count of this fibre takes seconds of big-integer
+        # arithmetic; the refusal needs only its first lower bound past 5
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invert", "r" * 2000 + "R" * 2000, "--cap", "5")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error: at least ")
 
     def test_long_small_fibre_is_fast(self, capsys):
         # n = 20 and 512 permutations: the old candidate-table search took
@@ -389,20 +399,102 @@ class TestCensus:
         assert census_report(n) == census_grouping_oracle(n)
 
 
+REPO = Path(__file__).resolve().parents[1]
+SUBMODULES = ("bdiagram", "errors", "generation", "inversion", "perm", "words")
+
+# run a command in a fresh interpreter, then name the submodules whose body ran:
+# one not yet used is still a lazy module, of a subclass of ModuleType
+RAN = """
+import io, sys, types
+from contextlib import redirect_stdout
+import arcdiagrams.cli
+if sys.argv[1:]:
+    with redirect_stdout(io.StringIO()):
+        arcdiagrams.cli.main(sys.argv[1:])
+print(*(m for m in %r if type(sys.modules["arcdiagrams." + m]) is types.ModuleType))
+""" % (SUBMODULES,)
+
+
+def python(code, *argv, path=(REPO / "src",)):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
 class TestStartup:
     def test_import_loads_no_code_generators(self):
         # every CLI command starts an interpreter, so what the import loads
         # is paid per command: dataclasses alone pulls in inspect, ast, dis
-        code = "import sys, arcdiagrams.cli; print(*sorted(sys.modules))"
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        loaded = set(done.stdout.split())
+        loaded = set(python("import sys, arcdiagrams.cli; print(*sorted(sys.modules))"))
         assert not {"dataclasses", "inspect"} & loaded
         # perfbench's tracer wraps functions in each of these after the import
         for module in ("perm", "words", "inversion", "bdiagram", "generation", "cli"):
             assert f"arcdiagrams.{module}" in loaded
+
+    @pytest.mark.parametrize(
+        "argv, ran",
+        [
+            ((), ()),
+            (("census", "5"), ()),
+            (("invert", "rkR"), ("inversion",)),
+            (("crossing", "1 3 | 2"), ("bdiagram",)),
+            (("generators", "1 2 | 3"), ("bdiagram", "generation")),
+        ],
+    )
+    def test_each_command_runs_only_its_modules(self, argv, ran):
+        # every command uses errors, perm and words; the rest run on demand
+        assert python(RAN, *argv) == sorted({"errors", "perm", "words", *ran})
+
+    def test_tracer_restores_functions_of_modules_loaded_under_it(self):
+        # the tracer loads bdiagram, generation and inversion as it scans
+        # sys.modules; each must bind the functions it imports before the
+        # tracer wraps them, or a wrapper outlives the trace
+        code = """
+import io, sys
+from contextlib import redirect_stdout
+import arcdiagrams.cli, spans
+rec = spans.Recorder()
+with spans.Tracer(rec), redirect_stdout(io.StringIO()):
+    arcdiagrams.cli.main(["invert", "rkR"])
+    arcdiagrams.cli.main(["crossing", "1 3 | 2"])
+print(*sorted(set(rec.names)))
+for name, module in list(sys.modules.items()):
+    for attr, value in vars(module).items():
+        if name.startswith("arcdiagrams") and getattr(
+            getattr(value, "__code__", None), "co_filename", ""
+        ).endswith("spans.py"):
+            print("left:", name, attr)
+"""
+        out = python(code, path=(REPO / "src", REPO / "perfbench"))
+        assert "left:" not in out
+        assert {"inversion.perms_from_word", "bdiagram.max_crossing"} <= set(out)
+
+
+class TestPackage:
+    def test_every_name_is_its_submodules_object(self):
+        for name in arcdiagrams.__all__:
+            module = getattr(arcdiagrams, arcdiagrams._MODULE_OF[name])
+            assert getattr(arcdiagrams, name) is getattr(module, name)
+
+    def test_dir_lists_every_name(self):
+        listed = dir(arcdiagrams)
+        assert set(arcdiagrams.__all__) | set(SUBMODULES) <= set(listed)
+        assert listed == sorted(listed)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from arcdiagrams import *", namespace)
+        assert set(arcdiagrams.__all__) <= set(namespace)
+        assert namespace["perms_from_word"] is arcdiagrams.inversion.perms_from_word
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+            arcdiagrams.frobnicate
+        assert not hasattr(arcdiagrams, "frobnicate")
+        with pytest.raises(ImportError):
+            exec("from arcdiagrams import frobnicate", {})
 
 
 class TestBrokenPipe:
@@ -410,7 +502,7 @@ class TestBrokenPipe:
         # 131,072 lines, far more than a pipe buffers, so the CLI is still
         # writing when the reader closes its end (``... | head -1``)
         code = "from arcdiagrams.cli import run; run()"
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.Popen(
             [sys.executable, "-c", code, "invert", "rrkkkkkkkkRR"],
             stdout=subprocess.PIPE,

@@ -1,4 +1,5 @@
 import time
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from arcdiagrams import (
     TooLarge,
     all_cyclic_perms,
     canonical_half,
+    check_cycle_word,
     classes_from_word,
     count_perms_from_word,
     cycle_word,
@@ -81,6 +83,15 @@ def outcome(read, word):
         return type(exc).__name__, str(exc)
 
 
+def all_words(max_n):
+    """Every word of a cycle diagram with 3..max_n letters."""
+    for n in range(3, max_n + 1):
+        for inner in product("rRk", repeat=n - 2):
+            word = "r" + "".join(inner) + "R"
+            if outcome(check_cycle_word, word)[0] == "ok":
+                yield word
+
+
 class TestClassesFromWord:
     def test_matches_one_scan_per_letter_on_every_word(self):
         words = {cycle_word(p) for n in range(3, 9) for p in all_cyclic_perms(n)}
@@ -89,12 +100,14 @@ class TestClassesFromWord:
 
     @pytest.mark.parametrize("word", ["rAR", "rkA", "xyz", "rrR", "Rr", ""])
     def test_odd_words_fare_as_one_scan_per_letter(self, word):
-        # a letter outside rRk belongs to no class, so Classification sees
-        # sets that miss a vertex and refuses them as it refuses the scans'
-        assert outcome(classes_from_word, word) == outcome(scan_classes_from_word, word)
+        # a word in rRk fares as the scans do; a letter outside rRk is named
+        # as check_cycle_word names it, where the scans' sets miss a vertex
+        foreign = set(word) - set("rRk")
+        reference = check_cycle_word if foreign else scan_classes_from_word
+        assert outcome(classes_from_word, word) == outcome(reference, word)
 
     def test_foreign_letter_refused(self):
-        with pytest.raises(ValueError, match="classes must partition 1..n"):
+        with pytest.raises(NotAWord, match=r"letters \['A'\] not in alphabet 'rRk'"):
             classes_from_word("rAR")
 
 
@@ -127,12 +140,14 @@ class TestPermsFromWord:
         assert len(result) == 1024
 
     def test_cap_refuses_before_searching(self):
-        # a fibre of 536,870,912: listing it would take hours
+        # a fibre of 536,870,912: listing it would take hours; the count
+        # stops at the first lower bound past the cap
         word = "rr" + "k" * 14 + "RR"
         start = time.perf_counter()
-        with pytest.raises(CapExceeded, match="536870912 .* cap 200000"):
+        with pytest.raises(CapExceeded, match=r"^at least \d+ .* cap 200000$") as info:
             perms_from_word(word, cap=200_000)
         assert time.perf_counter() - start < 1.0
+        assert 200_000 < info.value.requested <= 536_870_912
 
     @pytest.mark.parametrize(
         "word, shown",
@@ -145,8 +160,22 @@ class TestPermsFromWord:
         with pytest.raises(CapExceeded) as info:
             perms_from_word(word, cap=5)
         assert str(info.value).endswith(f" permutations with the word {shown} exceed the cap 5")
-        assert info.value.requested == count_perms_from_word(word)
+        assert str(info.value).startswith("at least ")
+        assert 5 < info.value.requested <= count_perms_from_word(word)
         assert info.value.limit == 5
+
+    def test_early_cap_verdict_is_exact(self):
+        # the count stops once a lower bound passes the cap, yet refuses
+        # exactly the words whose fibre exceeds it, and counts the rest whole
+        grid = {round(1.5**i) for i in range(23)}  # 1 .. 7,482
+        for word in all_words(12):
+            count = count_perms_from_word(word)
+            near = {c for c in (count - 1, count, count + 1) if 1 <= c <= 10**4}
+            for cap in grid | near:
+                try:
+                    assert count_perms_from_word(word, cap) == count <= cap
+                except CapExceeded as exc:
+                    assert cap < exc.requested <= count
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_sequence_word_matches_arc_set_route(self, n):
