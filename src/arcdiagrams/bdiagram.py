@@ -38,6 +38,7 @@ from .errors import (
 )
 from .perm import (
     ARCS,
+    MOVES,
     Arc,
     CyclicPerm,
     _neighbours,
@@ -215,13 +216,12 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     stubs = [0] * (n + 1)
     pool: list[int] = []  # vertices with open stubs, ascending
     arcs: list[Arc] = []
-    t2 = f = opens = 0
+    t2 = f = 0
 
     def after(chosen: tuple[int, ...]) -> tuple[int, int]:
         """(t2, f) once the stubs at ``chosen`` close on the current vertex."""
-        twos = sum(mate[u] is not None for u in chosen)
-        left = twos + opens  # open stubs on the path through the vertex
-        return t2 - twos + (left == 2), f + (left == 0)
+        _, _, grown, finishes = MOVES[letter][sum(mate[u] is not None for u in chosen)]
+        return t2 + grown, f + finishes
 
     for v, letter in enumerate(word, 1):
         opens, closes = ARCS[letter]
@@ -229,8 +229,8 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
             choices = (
                 (u1, u2)
                 for i, u1 in enumerate(pool)
-                # every pair through a two-stub path lands on (t2 - 1, f)
-                if mate[u1] is None or fits(v, t2 - 1, f)
+                # a pair through a two-stub path lands where that path alone does
+                if mate[u1] is None or fits(v, *after((u1,)))
                 for u2 in pool[i + 1 :]
                 if u2 != mate[u1]  # two stubs of one path would close a cycle
             )
@@ -242,12 +242,15 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
         for u in chosen:
             arcs.append((u, v))
             stubs[u] -= 1
+            if not stubs[u]:
+                pool.remove(u)
         if len(ends) == 2:
             mate[ends[0]], mate[ends[1]] = ends[1], ends[0]
         elif ends:
             mate[ends[0]] = None
         stubs[v] = opens
-        pool = [u for u in pool if stubs[u]] + [v] * (opens > 0)
+        if opens:
+            pool.append(v)
     return _blocks_from_arcs(n, frozenset(arcs))
 
 
@@ -261,8 +264,8 @@ def _feasibility_table(word: str, prefix: list[int]) -> list[tuple[int, int, int
     ``table[i][f]`` has bit t2 set when the remaining letters can close
     every stub without a cycle and leave at least two components.  Paths
     with equal stub counts are interchangeable, so this state is exact.
-    The table is filled backward from the end, three bit masks of at most
-    n bits per letter: O(n^2) bit operations in all.
+    The table is filled backward, one masked shift of bit masks of at most
+    n bits per move of ``perm.MOVES``: O(n^2) bit operations in all.
     """
     n = len(word)
 
@@ -271,23 +274,14 @@ def _feasibility_table(word: str, prefix: list[int]) -> list[tuple[int, int, int
 
     table = [(0, 0, 0)] * n + [(0, 0, 1)]
     for i in range(n - 1, -1, -1):
-        letter, nxt, s = word[i], table[i + 1], prefix[i]
-        row = []
-        for f in range(3):
-            same, done = nxt[f], nxt[min(f + 1, 2)]
-            if letter == "e":
-                bits = done
-            elif letter == "a":
-                bits = same
-            elif letter == "r":
-                bits = same >> 1
-            elif letter == "k":  # needs a stub to land on
-                bits = same if s else 0
-            elif letter == "A":  # a two-stub path keeps one, or a one-stub path ends
-                bits = same << 1 | done & upto((s - 1) // 2)
-            else:  # R: two one-stub paths end, or a two-stub path joins another
-                bits = done & upto((s - 2) // 2) | same << 1 & ~(2 if s < 3 else 0)
-            row.append(bits & upto(s // 2))
+        nxt, s = table[i + 1], prefix[i]
+        row = [0, 0, 0]
+        for twos, ones, grown, finishes in MOVES[word[i]]:
+            # room for the move: twos <= t2, and ones <= s - 2*t2 one-stub paths
+            mask = upto((s - ones) // 2) >> twos << twos
+            for f, bits in enumerate(nxt[1:] + nxt[2:] if finishes else nxt):
+                # bit t2 of the row is bit t2 + grown of the next row
+                row[f] |= (bits >> grown if grown >= 0 else bits << -grown) & mask
         table[i] = tuple(row)
     return table
 

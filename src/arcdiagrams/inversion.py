@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_CAP, check_cap, check_scan
-from .perm import Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
+from .perm import MOVES, Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
 from .words import check_cycle_word, cycle_word
 
 
@@ -85,13 +85,11 @@ def sequence_word(seq: Sequence[int]) -> str:
 def count_perms_from_word(word: str, cap: int | None = None) -> int:
     """Number of cyclic permutations whose word is ``word``, without listing them.
 
-    Sweeps the vertices left to right.  Before each vertex the arcs already
-    drawn form k partial paths whose two ends still wait for an arc to a
-    later vertex; s of those paths are a lone ``r``, whose two waiting arcs
-    are interchangeable.  An ``r`` starts a lone path; a ``k`` takes one
-    waiting end (s ways on a lone ``r``, 2(k-s) on a longer path) and waits
-    again itself; an ``R`` joins the ends of two distinct paths; the final
-    ``R`` closes the one path left.  Each cycle is counted once, and two
+    Sweeps the vertices left to right by the moves of ``perm.MOVES``, over
+    open partial paths that in a cycle word all wait at both ends.  The
+    state is (k paths, s of them a lone ``r``): a lone r's two waiting arcs
+    are interchangeable, while a longer path offers either end.  The final
+    ``R`` closes the one path left, so each cycle is counted once, and two
     permutations walk it.  Raises ``NotAWord`` like :func:`perms_from_word`.
 
     Every state the sweep reaches completes to at least one cycle, so after
@@ -110,22 +108,14 @@ def count_perms_from_word(word: str, cap: int | None = None) -> int:
     states = {(0, 0): 1}  # (k, s) -> number of ways
     for letter in word[:-1]:
         after: dict[tuple[int, int], int] = defaultdict(int)
+        # a cycle word leaves no one-stub path; a path made of none taken is a lone r
+        moves = [(twos, grown, grown > 0) for twos, ones, grown, _ in MOVES[letter] if not ones]
         for (k, s), ways in states.items():
-            longer = k - s
-            if letter == "r":
-                after[k + 1, s + 1] += ways
-            elif letter == "k":
-                if s:
-                    after[k, s - 1] += ways * s
-                if longer:
-                    after[k, s] += ways * 2 * longer
-            else:
-                if s >= 2:
-                    after[k - 1, s - 2] += ways * (s * (s - 1) // 2)
-                if s and longer:
-                    after[k - 1, s - 1] += ways * 2 * s * longer
-                if longer >= 2:
-                    after[k - 1, s] += ways * 2 * longer * (longer - 1)
+            for twos, grown, lone_r in moves:
+                for lone in range(twos + 1):  # lone r among the paths taken
+                    times = comb(s, lone) * comb(k - s, twos - lone) << twos - lone
+                    if times:
+                        after[k + grown, s - lone + lone_r] += ways * times
         states = after
         if cap is not None:
             check_cap(2 * sum(states.values()), cap, what, at_least=True)
@@ -142,6 +132,10 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
     a cycle, walked both ways from 1, so the result is closed under
     reversal.  Raises ``NotAWord`` for a non-word and ``CapExceeded``
     before listing when the count exceeds ``cap``.
+
+    The letters are branched on here, not read off ``perm.MOVES``: the
+    listing must match the count in :func:`sorted_perms`, a check worth
+    something only while the two routes are written apart.
     """
     total = count_perms_from_word(word, cap)
     n = len(word)

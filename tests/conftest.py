@@ -19,11 +19,14 @@ the block word from two counters, and class sets from one scan per letter.
 ``trace_components_reference`` and ``cycle_diagram_check_reference`` keep
 the component walker over per-vertex neighbour lists and the
 ``CycleDiagram`` check built on it, from before the flat neighbour table.
+``count_perms_reference`` and ``feasibility_table_reference`` keep the
+fibre count and the realization's feasibility table from before the one
+move table ``perm.MOVES``, with each letter's rule written out by hand.
 """
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import accumulate
 
 from hypothesis import strategies as st
@@ -40,6 +43,7 @@ from arcdiagrams import (
     motzkin_number,
 )
 from arcdiagrams.cli import CensusReport, SplitException
+from arcdiagrams.errors import check_cap
 
 # unit steps of each letter's block path, written out by hand
 BLOCK_STEPS = {
@@ -213,6 +217,73 @@ def block_word_screen(word):
     if min(accumulate(s for c in word for s in BLOCK_STEPS[c])) < 0:
         return InvalidReason.NEGATIVE_PREFIX
     return None
+
+
+def count_perms_reference(word, cap=None):
+    """``count_perms_from_word`` on a valid cycle word, one branch per letter.
+
+    The state is (k open paths, s of them a lone r); a k takes an end of a
+    lone r (s ways) or of a longer path (2(k-s) ways), an R joins the ends
+    of two distinct paths.  Refuses over ``cap`` at the first lower bound
+    past it, as the library does.
+    """
+    states = {(0, 0): 1}
+    for letter in word[:-1]:
+        after = defaultdict(int)
+        for (k, s), ways in states.items():
+            longer = k - s
+            if letter == "r":
+                after[k + 1, s + 1] += ways
+            elif letter == "k":
+                if s:
+                    after[k, s - 1] += ways * s
+                if longer:
+                    after[k, s] += ways * 2 * longer
+            else:
+                if s >= 2:
+                    after[k - 1, s - 2] += ways * (s * (s - 1) // 2)
+                if s and longer:
+                    after[k - 1, s - 1] += ways * 2 * s * longer
+                if longer >= 2:
+                    after[k - 1, s] += ways * 2 * longer * (longer - 1)
+        states = after
+        if cap is not None:
+            check_cap(2 * sum(states.values()), cap, "permutations", at_least=True)
+    return 2 * states.get((1, 0), 0)
+
+
+def feasibility_table_reference(word, prefix):
+    """``bdiagram._feasibility_table`` with one hand-written branch per letter.
+
+    ``table[i][f]`` has bit t2 set when s = ``prefix[i]`` open stubs, t2
+    two-stub paths and f finished components (up to 2) complete.
+    """
+    n = len(word)
+
+    def upto(t2):
+        return (1 << t2 + 1) - 1  # bits 0..t2; empty when t2 == -1
+
+    table = [(0, 0, 0)] * n + [(0, 0, 1)]
+    for i in range(n - 1, -1, -1):
+        letter, nxt, s = word[i], table[i + 1], prefix[i]
+        row = []
+        for f in range(3):
+            same, done = nxt[f], nxt[min(f + 1, 2)]
+            if letter == "e":
+                bits = done
+            elif letter == "a":
+                bits = same
+            elif letter == "r":
+                bits = same >> 1
+            elif letter == "k":  # needs a stub to land on
+                bits = same if s else 0
+            elif letter == "A":  # a two-stub path keeps one, or a one-stub path ends
+                bits = same << 1 | done & upto((s - 1) // 2)
+            else:  # R: two one-stub paths end, or a two-stub path joins another
+                bits = done & upto((s - 2) // 2) | same << 1 & ~(2 if s < 3 else 0)
+            row.append(bits & upto(s // 2))
+        table[i] = tuple(row)
+    return table
 
 
 def arc_subsets(n):

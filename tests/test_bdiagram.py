@@ -34,7 +34,7 @@ from arcdiagrams import (
     transpose_labels,
     validate_block_word,
 )
-from arcdiagrams.bdiagram import _blocks_from_arcs
+from arcdiagrams.bdiagram import _blocks_from_arcs, _feasibility_table
 from arcdiagrams.cli import main
 from conftest import (
     arc_graph_shape,
@@ -43,6 +43,7 @@ from conftest import (
     counter_block_word,
     crossing_brute_force,
     crossing_chain_dp,
+    feasibility_table_reference,
     generated_bdiagrams,
     random_bdiagram,
     scan_bclassification,
@@ -225,6 +226,43 @@ class TestRealizationScale:
         captured = capsys.readouterr()
         assert code == 0 and captured.out.startswith("Valid")
         assert "Traceback" not in captured.err
+
+    def test_argv_scale_word(self):
+        # 32,000 letters: a quarter of the longest single command-line argument
+        word = "a" * 16_000 + "A" * 16_000
+        start = time.perf_counter()
+        result = validate_block_word(word)
+        elapsed = time.perf_counter() - start
+        assert result.ok and block_word(result.witness) == word
+        assert elapsed < 5.0
+
+
+class TestFeasibilityTable:
+    """The table read off perm.MOVES against one hand-written branch per letter."""
+
+    @staticmethod
+    def assert_matches(word):
+        prefix = list(itertools.accumulate(degree_vector(word), initial=0))
+        assert _feasibility_table(word, prefix) == feasibility_table_reference(word, prefix)
+
+    def test_every_short_word(self):
+        # every word of 1..6 letters with no negative degree prefix
+        for n in range(1, 7):
+            for letters in itertools.product("aAekrR", repeat=n):
+                word = "".join(letters)
+                if min(itertools.accumulate(degree_vector(word))) >= 0:
+                    self.assert_matches(word)
+
+    def test_random_long_words(self):
+        rng = random.Random(16)
+        degree = dict(zip("aAekrR", (1, -1, 0, 0, 2, -2)))
+        for _ in range(2_000):
+            letters, height = [], 0
+            for _ in range(rng.randint(1, 60)):
+                letter = rng.choice([c for c in "aAekrR" if height + degree[c] >= 0])
+                height += degree[letter]
+                letters.append(letter)
+            self.assert_matches("".join(letters))
 
 
 @st.composite

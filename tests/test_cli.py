@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcdiagrams
-from arcdiagrams import canonical_generator, parse_bdiagram, parse_perm
+from arcdiagrams import block_word, canonical_generator, parse_bdiagram, parse_perm
 from arcdiagrams.cli import census_report, main, render_ascii, render_svg
 from conftest import census_grouping_oracle, elevated_motzkin_words, random_bdiagram
 
@@ -649,6 +649,24 @@ def long_argv(draw):
     return [command, *positionals, *flags, *json_flag, "--cap", "1000"]
 
 
+@st.composite
+def argv_scale_block_words(draw):
+    """``validate-word`` on a block word of 2,000 to 8,000 letters: a^m A^m,
+    r^m A^(2m), or the word of a random diagram."""
+    kind = draw(st.sampled_from(("aA", "rAA", "diagram")))
+    if kind == "aA":
+        m = draw(st.integers(1000, 4000))
+        word = "a" * m + "A" * m
+    elif kind == "rAA":
+        m = draw(st.integers(667, 2666))
+        word = "r" * m + "A" * (2 * m)
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        word = block_word(random_bdiagram(rng, draw(st.integers(2000, 8000))))
+    json_flag = draw(st.sampled_from(((), ("--json",))))
+    return ["validate-word", word, *json_flag, "--cap", "1000"]
+
+
 class TestFuzz:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(fuzz_argv())
@@ -661,6 +679,15 @@ class TestFuzz:
     def test_long_inputs(self, argv):
         # words up to 60 letters and diagrams up to 2,000 vertices: a valid
         # exit code and no hang; crossing at n = 2,000 takes up to about 1 s
+        start = time.perf_counter()
+        assert main(argv) in (0, 1, 2, 3)
+        assert time.perf_counter() - start < 5.0
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(argv_scale_block_words())
+    def test_argv_scale_block_words(self, argv):
+        # the long-input budget, at the word lengths where realization once
+        # took seconds
         start = time.perf_counter()
         assert main(argv) in (0, 1, 2, 3)
         assert time.perf_counter() - start < 5.0

@@ -20,7 +20,7 @@ from arcdiagrams import (
     perms_from_word_oracle,
 )
 from arcdiagrams.inversion import sequence_word
-from conftest import elevated_motzkin_words, scan_classes_from_word
+from conftest import count_perms_reference, elevated_motzkin_words, scan_classes_from_word
 
 MIXED_WORD = "rkrRkR"
 MIXED_PERMS = (
@@ -176,6 +176,21 @@ class TestPermsFromWord:
                     assert count_perms_from_word(word, cap) == count <= cap
                 except CapExceeded as exc:
                     assert cap < exc.requested <= count
+
+    def test_count_matches_hand_written_rules(self):
+        # the count read off perm.MOVES against the per-letter (k, s) rules:
+        # each count, and each capped refusal's lower bound on the same grid
+        grid = {round(1.5**i) for i in range(23)}
+        for word in all_words(12):
+            count = count_perms_reference(word)
+            assert count_perms_from_word(word) == count
+            for cap in grid:
+                if cap < count:
+                    with pytest.raises(CapExceeded) as ours:
+                        count_perms_from_word(word, cap)
+                    with pytest.raises(CapExceeded) as reference:
+                        count_perms_reference(word, cap)
+                    assert ours.value.requested == reference.value.requested
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_sequence_word_matches_arc_set_route(self, n):

@@ -23,6 +23,7 @@ from arcdiagrams import (
     step_groups,
     word_predicates,
 )
+from arcdiagrams.perm import MOVES
 from arcdiagrams.words import ARCS
 
 
@@ -187,6 +188,18 @@ class TestInflate:
             assert len(inflate(word)) == len(word) + extra
 
 
+# the sweep's moves per letter, by hand: (two-stub paths taken, one-stub
+# paths taken, change in two-stub paths, a component finishes)
+LETTER_MOVES = {
+    "r": ((0, 0, 1, False),),
+    "R": ((0, 2, 0, True), (1, 1, -1, False), (2, 0, -1, False)),
+    "k": ((0, 1, 0, False), (1, 0, 0, False)),
+    "a": ((0, 0, 0, False),),
+    "A": ((0, 1, 0, True), (1, 0, -1, False)),
+    "e": ((0, 0, 0, True),),
+}
+
+
 @pytest.mark.parametrize(
     "letter, arcs, degree, block, cycle, inflated",
     [
@@ -200,6 +213,7 @@ class TestInflate:
 )
 def test_letter_rules(letter, arcs, degree, block, cycle, inflated):
     assert ARCS[letter] == arcs
+    assert MOVES[letter] == LETTER_MOVES[letter]
     assert degree_vector(letter) == (degree,)
     assert step_groups(letter, "block") == (block,)
     if cycle is None:
