@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import deque
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -170,8 +171,7 @@ def validate_block_word(word: str) -> WordCheck:
     not sufficient: ``rkR`` passes it yet would force three arcs on three
     vertices, a cycle.  After the degree, endpoint and valley screens, all
     read off one pass of prefix sums, a sweep over the letters settles
-    realizability in O(n^2) and produces a canonical witness (see
-    :func:`_realize`).
+    realizability and produces a canonical witness (see :func:`_realize`).
     """
     # prefix[i]: arcs left open by the first i letters
     prefix = list(itertools.accumulate(degree_vector(word), initial=0))
@@ -202,19 +202,18 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     other open stub of its partial path (``mate``), which makes a
     candidate's next state an O(1) lookup.
     """
-    n = len(word)
     table = _feasibility_table(word, prefix)
 
     def fits(i: int, t2: int, f: int) -> bool:
-        return bool(table[i][min(f, 2)] >> t2 & 1)
+        return t2 <= table[i][min(f, 2)]
 
     if not fits(0, 0, 0):
         return None
     # mate[u]: vertex holding the other open stub of u's path -- u itself
     # for a lone r, None when u holds the only open stub of its path
-    mate: list[int | None] = [None] * (n + 1)
-    stubs = [0] * (n + 1)
-    pool: list[int] = []  # vertices with open stubs, ascending
+    mate: list[int | None] = [None] * (len(word) + 1)
+    # an entry per open stub, ascending, a lone r twice; a deque, as most go from the front
+    pool: deque[int] = deque()
     arcs: list[Arc] = []
     t2 = f = 0
 
@@ -231,27 +230,23 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
                 for i, u1 in enumerate(pool)
                 # a pair through a two-stub path lands where that path alone does
                 if mate[u1] is None or fits(v, *after((u1,)))
-                for u2 in pool[i + 1 :]
+                for u2 in itertools.islice(pool, i + 1, None)
                 if u2 != mate[u1]  # two stubs of one path would close a cycle
             )
         else:
-            choices = itertools.combinations(pool, closes)
+            choices = zip(pool) if closes else [()]
         chosen = next(c for c in choices if fits(v, *after(c)))
         t2, f = after(chosen)
         ends = [mate[u] for u in chosen if mate[u] is not None] + [v] * opens
         for u in chosen:
             arcs.append((u, v))
-            stubs[u] -= 1
-            if not stubs[u]:
-                pool.remove(u)
+            pool.remove(u)
         if len(ends) == 2:
             mate[ends[0]], mate[ends[1]] = ends[1], ends[0]
         elif ends:
             mate[ends[0]] = None
-        stubs[v] = opens
-        if opens:
-            pool.append(v)
-    return _blocks_from_arcs(n, frozenset(arcs))
+        pool.extend([v] * opens)
+    return _blocks_from_arcs(len(word), frozenset(arcs))
 
 
 def _feasibility_table(word: str, prefix: list[int]) -> list[tuple[int, int, int]]:
@@ -260,28 +255,28 @@ def _feasibility_table(word: str, prefix: list[int]) -> list[tuple[int, int, int
     After the first i letters the open arc stubs number the prefix degree
     sum s = ``prefix[i]``; they sit on partial paths holding two stubs (t2
     of them) or one (s - 2*t2 of them), and f components are finished,
-    counted up to 2.
-    ``table[i][f]`` has bit t2 set when the remaining letters can close
-    every stub without a cycle and leave at least two components.  Paths
-    with equal stub counts are interchangeable, so this state is exact.
-    The table is filled backward, one masked shift of bit masks of at most
-    n bits per move of ``perm.MOVES``: O(n^2) bit operations in all.
+    counted up to 2.  Paths with equal stub counts are interchangeable, so
+    this state is exact.  ``table[i][f]`` is the largest t2 from which the
+    remaining letters can close every stub without a cycle and leave at
+    least two components, or -1 when none can: every t2 from 0 up to it
+    completes.  That run starts at 0 because cutting a two-stub path into
+    two one-stub paths never blocks a completion: the same remaining arcs
+    close the two halves with no cycle more and no component fewer.  The
+    table is filled backward, one bound per move of ``perm.MOVES``: O(n)
+    in time and space.
     """
-    n = len(word)
-
-    def upto(t2: int) -> int:
-        return (1 << t2 + 1) - 1  # bits 0..t2; empty when t2 == -1
-
-    table = [(0, 0, 0)] * n + [(0, 0, 1)]
-    for i in range(n - 1, -1, -1):
+    table = [(-1, -1, -1)] * len(word) + [(-1, -1, 0)]
+    for i in reversed(range(len(word))):
         nxt, s = table[i + 1], prefix[i]
-        row = [0, 0, 0]
+        row = [-1, -1, -1]
         for twos, ones, grown, finishes in MOVES[word[i]]:
-            # room for the move: twos <= t2, and ones <= s - 2*t2 one-stub paths
-            mask = upto((s - ones) // 2) >> twos << twos
-            for f, bits in enumerate(nxt[1:] + nxt[2:] if finishes else nxt):
-                # bit t2 of the row is bit t2 + grown of the next row
-                row[f] |= (bits >> grown if grown >= 0 else bits << -grown) & mask
+            room = (s - ones) // 2  # the most t2 that leaves ``ones`` one-stub paths
+            for f, last in enumerate(nxt[1:] + nxt[2:] if finishes else nxt):
+                reach = last - grown  # t2 lands on t2 + grown of the next row
+                if reach > room:
+                    reach = room
+                if reach >= twos and reach > row[f]:  # the move takes ``twos`` of them
+                    row[f] = reach
         table[i] = tuple(row)
     return table
 

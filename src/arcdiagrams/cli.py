@@ -299,6 +299,10 @@ def _cmd_render(args) -> int:
     else:
         word = args.input
         dialect = "block"
+    if args.format != "svg":  # render_ascii's grid: a column per step, a row per band
+        steps, heights, _ = _layout(word, dialect)
+        bands = [h - (dy == -1) for dy, h in zip(steps, heights)]
+        check_cap((max(bands) - min(bands) + 2) * len(steps), args.cap, "cells to draw")
     art = render_svg(word, dialect) if args.format == "svg" else render_ascii(word, dialect)
     payload = {"kind": args.kind, "word": word, "art": art}
     return _emit(args, payload, [art])

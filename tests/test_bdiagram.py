@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -52,6 +56,7 @@ from conftest import (
 BRAID = "3 1 6 | 2 7 8 | 4 5"
 SPARSE = "1 3 | 2 | 4 8 | 5 6 | 7"
 SIGMA = "1 3 2 7 8 4 5 6"
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestParse:
@@ -203,6 +208,19 @@ class TestValidateBlockWord:
                 assert result.reason is reason, word
 
 
+# reads one word a line; prints the seconds each takes, then the peak RSS
+ARGV_LENGTH_CHILD = """
+import resource, sys, time
+from arcdiagrams import block_word, validate_block_word
+for word in sys.stdin.read().split():
+    start = time.perf_counter()
+    result = validate_block_word(word)
+    print(time.perf_counter() - start)
+    assert result.ok and block_word(result.witness) == word
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 class TestRealizationScale:
     """Words that once sent the realization search into a hang or a crash."""
 
@@ -236,14 +254,37 @@ class TestRealizationScale:
         assert result.ok and block_word(result.witness) == word
         assert elapsed < 5.0
 
+    def test_argv_length_words(self):
+        # 131,070 letters or near it, the longest single command-line
+        # argument; a fresh interpreter times each word and reports its own
+        # peak RSS (KiB)
+        words = [
+            "a" * 65_535 + "A" * 65_535,
+            "r" * 43_690 + "A" * 87_380,
+            "a" * 32_767 + "r" * 32_767 + "R" * 32_767 + "A" * 32_767,
+            block_word(random_bdiagram(random.Random(17), 131_070)),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", ARGV_LENGTH_CHILD],
+            input="\n".join(words), env=env, capture_output=True, text=True, check=True,
+        )
+        *elapsed, peak_kib = map(float, done.stdout.split())
+        assert len(elapsed) == len(words)
+        assert max(elapsed) < 5.0, elapsed
+        assert peak_kib < 200 * 1024
+
 
 class TestFeasibilityTable:
-    """The table read off perm.MOVES against one hand-written branch per letter."""
+    """The bounds read off perm.MOVES against bit masks from one hand-written
+    branch per letter: each mask must be the run of bits 0..bound."""
 
     @staticmethod
     def assert_matches(word):
         prefix = list(itertools.accumulate(degree_vector(word), initial=0))
-        assert _feasibility_table(word, prefix) == feasibility_table_reference(word, prefix)
+        table = _feasibility_table(word, prefix)
+        for i, masks in enumerate(feasibility_table_reference(word, prefix)):
+            assert masks == tuple((1 << bound + 1) - 1 for bound in table[i]), (word, i)
 
     def test_every_short_word(self):
         # every word of 1..6 letters with no negative degree prefix
