@@ -36,13 +36,13 @@ from .errors import (
     NotRepresentable,
     OutOfRange,
     WouldCycle,
+    brief,
 )
 from .perm import (
     ARCS,
     MOVES,
     Arc,
     CyclicPerm,
-    _neighbours,
     _Value,
     _vertices,
     arc_set,
@@ -71,7 +71,7 @@ class BDiagram(_Value):
         flat = [v for block in blocks for v in block]
         n = len(flat)
         if set(flat) != _vertices(n):
-            raise NotAPermutation(f"blocks must partition 1..{n}: {blocks}")
+            raise NotAPermutation(f"blocks must partition 1..{n}: {brief(blocks)}")
         if any(len(b) == n for b in blocks):
             raise BlockTooLong(f"a block may hold at most {n - 1} of the {n} vertices")
 
@@ -116,11 +116,11 @@ def parse_bdiagram(text: str) -> BDiagram:
     for segment in text.split("|"):
         tokens = segment.split()
         if not tokens:
-            raise EmptyBlock(f"empty block in {text!r}")
+            raise EmptyBlock(f"empty block in {brief(text)!r}")
         try:
             blocks.append(tuple(int(t) for t in tokens))
         except ValueError as exc:
-            raise NotAPermutation(f"non-integer entry in {text!r}") from exc
+            raise NotAPermutation(f"non-integer entry in {brief(text)!r}") from exc
     return BDiagram(tuple(blocks))
 
 
@@ -310,8 +310,8 @@ def cut_set(p: CyclicPerm, b: BDiagram) -> frozenset[Arc]:
     sigma_arcs = arc_set(p).arcs
     block_arcs = b.arcs()
     if not block_arcs <= sigma_arcs:
-        raise NotAGenerator(f"{p} does not generate {b}")
-    return frozenset(sigma_arcs - block_arcs)
+        raise NotAGenerator(f"{brief(str(p))} does not generate {brief(str(b))}")
+    return sigma_arcs - block_arcs
 
 
 def complement(p: CyclicPerm, b: BDiagram) -> BDiagram:
@@ -354,40 +354,32 @@ def max_crossing(b: BDiagram) -> int:
 def add_arc(b: BDiagram, arc: Arc) -> BDiagram:
     """Join two blocks (or absorb an isolated vertex) with a new arc.
 
-    Both endpoints must currently meet at most one arc, the arc must be
-    new, and its endpoints must lie in different blocks.  The merged block
-    replaces the earlier of the two, oriented small end first.
+    The arc must be new and join the ends of two blocks, as only a block's
+    first and last vertex meet fewer than two arcs.  The merged block, x's
+    block run to end at x and then y's run on from y, replaces the earlier
+    of the two, oriented small end first.
     """
     x, y = arc
     if not (1 <= x <= b.n and 1 <= y <= b.n):
-        raise OutOfRange(f"arc {arc} out of 1..{b.n}")
+        raise OutOfRange(f"arc {brief(arc)} out of 1..{b.n}")
     if x == y:
         raise WouldCycle("an arc needs two distinct endpoints")
     lo, hi = min(x, y), max(x, y)
-    if (lo, hi) in b.arcs():
+    where = {v: (idx, at) for idx, block in enumerate(b.blocks) for at, v in enumerate(block)}
+    (i, s), (j, t) = where[x], where[y]
+    if i == j and abs(s - t) == 1:
         raise AlreadyPresent(f"arc ({lo}, {hi}) already present")
-    _, second = _neighbours(b.n, b.arcs())
-    if second[lo] or second[hi]:
+    if 0 < s < len(b.blocks[i]) - 1 or 0 < t < len(b.blocks[j]) - 1:
         raise DegreeExceeded("both endpoints must have at most one arc")
-    where = {v: idx for idx, block in enumerate(b.blocks) for v in block}
-    if where[lo] == where[hi]:
+    if i == j:
         raise WouldCycle(f"{lo} and {hi} already share a block")
-    first, second = sorted((where[lo], where[hi]))
-    if len(b.blocks[first]) + len(b.blocks[second]) == b.n:
+    if len(b.blocks[i]) + len(b.blocks[j]) == b.n:
         raise NotRepresentable("the merged block would hold every vertex")
-
-    def ending_at(block: tuple[int, ...], v: int) -> tuple[int, ...]:
-        return block if block[-1] == v else block[::-1]
-
-    a_part = ending_at(b.blocks[where[x]], x)
-    c_part = ending_at(b.blocks[where[y]], y)[::-1]
-    merged = _oriented(a_part + c_part)
-    blocks = [
-        merged if idx == first else block
-        for idx, block in enumerate(b.blocks)
-        if idx != second
-    ]
-    return BDiagram(tuple(blocks))
+    left, right = b.blocks[i], b.blocks[j]
+    merged = _oriented((left if s else left[::-1]) + (right[::-1] if t else right))
+    first, second = sorted((i, j))
+    blocks = b.blocks[:first] + (merged,) + b.blocks[first + 1 : second] + b.blocks[second + 1 :]
+    return BDiagram(blocks)
 
 
 def remove_arc(b: BDiagram, arc: Arc) -> BDiagram:
@@ -396,12 +388,9 @@ def remove_arc(b: BDiagram, arc: Arc) -> BDiagram:
     for idx, block in enumerate(b.blocks):
         for t in range(len(block) - 1):
             if {block[t], block[t + 1]} == {lo, hi}:
-                pieces = [_oriented(block[: t + 1]), _oriented(block[t + 1 :])]
-                blocks = (
-                    list(b.blocks[:idx]) + pieces + list(b.blocks[idx + 1 :])
-                )
-                return BDiagram(tuple(blocks))
-    raise NotPresent(f"arc ({lo}, {hi}) not in the diagram")
+                pieces = (_oriented(block[: t + 1]), _oriented(block[t + 1 :]))
+                return BDiagram(b.blocks[:idx] + pieces + b.blocks[idx + 1 :])
+    raise NotPresent(f"arc ({brief(lo)}, {brief(hi)}) not in the diagram")
 
 
 def transpose_labels(b: BDiagram, i: int, j: int) -> BDiagram:

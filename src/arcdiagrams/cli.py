@@ -15,7 +15,7 @@ from math import factorial
 from typing import Iterable, NamedTuple
 
 from . import bdiagram, generation, inversion
-from .errors import DEFAULT_CAP, DiagramError, TooSmall, check_cap, check_scan
+from .errors import DEFAULT_CAP, DiagramError, TooSmall, brief, check_cap, check_scan
 from .perm import all_cyclic_perms, arc_set, arc_text, classify, parse_perm
 from .words import (
     catalan_number,
@@ -134,7 +134,7 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
     :class:`CapExceeded` before enumerating when (n-1)! exceeds ``cap``.
     """
     if n < 3:
-        raise TooSmall(f"census needs n >= 3, got {n}")
+        raise TooSmall(f"census needs n >= 3, got {brief(n)}")
     check_scan(n, "census")
     check_cap(factorial(n - 1), cap, "permutations")
     # per word: [expected second entry, permutations off the split, the
@@ -225,9 +225,9 @@ def _cmd_invert(args) -> int:
 
 def _cmd_bword(args) -> int:
     b = bdiagram.parse_bdiagram(args.bdiagram)
-    word = bdiagram.block_word(b)
-    payload = {"word": word, "arcs": b.arc_notation(), "blocks": b.blocks}
-    return _emit(args, payload, ["word: " + word, "arcs: " + b.arc_notation()])
+    word, arcs = bdiagram.block_word(b), b.arc_notation()
+    payload = {"word": word, "arcs": arcs, "blocks": b.blocks}
+    return _emit(args, payload, ["word: " + word, "arcs: " + arcs])
 
 
 def _cmd_validate_word(args) -> int:

@@ -112,11 +112,42 @@ class CapExceeded(CapError):
     pass
 
 
+def brief(value, unit: str = "characters") -> str:
+    """``value`` as a message echoes it: short, and never through ``str()``
+    of a huge integer.
+
+    An integer past 30 digits is given by its number of digits.  Anything
+    else prints as ``str()`` prints it, with integers inside a tuple or list
+    under the same rule; text past 40 characters is cut to its first 20,
+    ``…`` and its length, in ``unit`` or, for a tuple or list, in entries.
+
+    >>> brief((1, 2, -10**40))
+    '(1, 2, a 41-digit negative number)'
+    >>> brief("r" * 100, "letters")
+    'rrrrrrrrrrrrrrrrrrrr… (100 letters)'
+    """
+    if isinstance(value, int):
+        size = abs(value)
+        if size < 10**30:
+            return str(value)
+        digits = int(log10(size)) + 1
+        # the float logarithm may round across a power of ten
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"a {digits}-digit {'negative ' * (value < 0)}number"
+    if isinstance(value, (tuple, list)):
+        items = [brief(v) if isinstance(v, (int, tuple, list)) else repr(v) for v in value]
+        text = ", ".join(items)
+        text = f"[{text}]" if isinstance(value, list) else f"({text}{',' * (len(value) == 1)})"
+        unit = "entries"
+    else:
+        text = str(value)
+    return text if len(text) <= 40 else f"{text[:20]}… ({len(value)} {unit})"
+
+
 def check_cap(count: int, cap: int, what: str, at_least: bool = False) -> None:
     """Raise :class:`CapExceeded`, with ``requested`` and ``limit``, if ``count > cap``.
 
-    A count past 30 digits is stated by its number of digits, so the
-    message stays short and never meets ``str()``'s limit on huge integers.
+    Both numbers are given by :func:`brief`, so the message stays short.
     With ``at_least`` the message calls ``count`` a lower bound.
 
     >>> check_cap(10**40, 100, "generators")
@@ -125,12 +156,9 @@ def check_cap(count: int, cap: int, what: str, at_least: bool = False) -> None:
     """
     if count <= cap:
         return
-    digits = int(log10(count)) + 1
-    # the float logarithm may round across a power of ten
-    digits += (count >= 10**digits) - (count < 10 ** (digits - 1))
-    size = count if digits <= 30 else f"a {digits}-digit number of"
+    size = brief(count) + " of" * (count >= 10**30)
     bound = "at least " if at_least else ""
-    exc = CapExceeded(f"{bound}{size} {what} exceed the cap {cap}")
+    exc = CapExceeded(f"{bound}{size} {what} exceed the cap {brief(cap)}")
     exc.requested, exc.limit = count, cap
     raise exc
 
@@ -138,6 +166,6 @@ def check_cap(count: int, cap: int, what: str, at_least: bool = False) -> None:
 def check_scan(n: int, who: str) -> None:
     """Raise :class:`TooLarge`, with ``requested`` and ``limit``, past ``ORACLE_MAX_N``."""
     if n > ORACLE_MAX_N:
-        exc = TooLarge(f"{who} refuses n={n} > {ORACLE_MAX_N}")
+        exc = TooLarge(f"{who} refuses n={brief(n)} > {ORACLE_MAX_N}")
         exc.requested, exc.limit = n, ORACLE_MAX_N
         raise exc

@@ -178,8 +178,9 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
     """
     if b.n != other.n:
         raise SizeMismatch(f"vertex counts differ: {b.n} vs {other.n}")
+    mine, theirs = b.arcs(), other.arcs()
     try:
-        components = trace_components(b.n, b.arcs() | other.arcs())
+        components = trace_components(b.n, mine | theirs)
     except ValueError:  # a vertex meets three arcs
         components = []
     shared: tuple[CyclicPerm, ...] = ()
@@ -192,6 +193,6 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
         shared = enumerate_generators(BDiagram(tuple(walk for walk, _ in components)))
     return CommonGenerators(
         generators=shared,
-        first_in_second=b.arcs() <= other.arcs(),
-        second_in_first=other.arcs() <= b.arcs(),
+        first_in_second=mine <= theirs,
+        second_in_first=theirs <= mine,
     )

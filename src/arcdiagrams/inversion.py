@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_CAP, check_cap, check_scan
+from .errors import DEFAULT_CAP, brief, check_cap, check_scan
 from .perm import MOVES, Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
 from .words import check_cycle_word, cycle_word
 
@@ -103,8 +103,7 @@ def count_perms_from_word(word: str, cap: int | None = None) -> int:
     536870912
     """
     check_cycle_word(word)
-    shown = word if len(word) <= 40 else f"{word[:20]}… ({len(word)} letters)"
-    what = f"permutations with the word {shown}"
+    what = f"permutations with the word {brief(word, 'letters')}"
     states = {(0, 0): 1}  # (k, s) -> number of ways
     for letter in word[:-1]:
         after: dict[tuple[int, int], int] = defaultdict(int)

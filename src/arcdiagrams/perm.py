@@ -29,7 +29,7 @@ from functools import lru_cache, total_ordering
 from operator import lt
 from typing import Iterable, Iterator
 
-from .errors import NotAPermutation, NotNormalized, TooSmall
+from .errors import NotAPermutation, NotNormalized, TooSmall, brief
 
 Arc = tuple[int, int]
 
@@ -174,7 +174,7 @@ def spanning_cycle(n: int, arcs: frozenset[Arc]) -> tuple[int, ...]:
         raise ValueError(f"expected {n} arcs, got {len(arcs)}")
     for i, j in arcs:
         if not (1 <= i < j <= n):
-            raise ValueError(f"bad arc ({i}, {j}) for n={n}")
+            raise ValueError(f"bad arc ({brief(i)}, {brief(j)}) for n={n}")
     first, second = _neighbours(n, arcs)
     if n:  # n arcs, none at a third: every vertex meets two, so the walk returns to 1
         walk = _walk(first, second, 1, min(first[1], second[1]))
@@ -203,7 +203,7 @@ class CyclicPerm(_Value):
         object.__setattr__(self, "seq", seq)
         n = len(seq)
         if set(seq) != _vertices(n):  # n entries, so none repeats
-            raise NotAPermutation(f"not a permutation of 1..{n}: {seq}")
+            raise NotAPermutation(f"not a permutation of 1..{n}: {brief(seq)}")
         if n < 3:
             raise TooSmall(f"need at least 3 vertices, got {n}")
         if seq[0] != 1:
@@ -257,7 +257,7 @@ def parse_perm(text: str) -> CyclicPerm:
     try:
         values = tuple(int(t) for t in tokens)
     except ValueError as exc:
-        raise NotAPermutation(f"non-integer entry in {text!r}") from exc
+        raise NotAPermutation(f"non-integer entry in {brief(text)!r}") from exc
     return CyclicPerm(values)
 
 
@@ -352,6 +352,6 @@ def classify(diagram: CycleDiagram) -> Classification:
 def all_cyclic_perms(n: int) -> Iterator[CyclicPerm]:
     """All (n-1)! cyclic permutations of [n], in lexicographic order."""
     if n < 3:
-        raise TooSmall(f"need at least 3 vertices, got {n}")
+        raise TooSmall(f"need at least 3 vertices, got {brief(n)}")
     for rest in itertools.permutations(range(2, n + 1)):
         yield CyclicPerm((1,) + rest)

@@ -24,7 +24,7 @@ from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .errors import AlphabetMismatch, HasKeratoids, LengthMismatch, NotAWord
+from .errors import AlphabetMismatch, HasKeratoids, LengthMismatch, NotAWord, brief
 from .perm import ARCS, Classification, CyclicPerm, arc_set, arc_word
 
 CYCLE_ALPHABET = "rRk"
@@ -52,9 +52,7 @@ def _check_letters(word: str, alphabet: str) -> None:
         raise AlphabetMismatch("empty word")
     bad = set(word) - set(alphabet)
     if bad:
-        raise AlphabetMismatch(
-            f"letters {sorted(bad)} not in alphabet {alphabet!r}"
-        )
+        raise AlphabetMismatch(f"letters {brief(sorted(bad))} not in alphabet {alphabet!r}")
 
 
 def word_of_classes(cls: Classification) -> str:
@@ -143,7 +141,7 @@ def dyck_parity_word(p: CyclicPerm) -> str:
     Equals :func:`cycle_word` whenever the latter has no ``k``.
     """
     if "k" in cycle_word(p):
-        raise HasKeratoids(f"{p} has keratoid vertices")
+        raise HasKeratoids(f"{brief(str(p))} has keratoid vertices")
     letters = [""] * p.n
     for i, v in enumerate(p.seq):
         letters[v - 1] = "R" if i % 2 else "r"  # i is the 0-based position

@@ -22,6 +22,9 @@ the component walker over per-vertex neighbour lists and the
 ``count_perms_reference`` and ``feasibility_table_reference`` keep the
 fibre count and the realization's feasibility table from before the one
 move table ``perm.MOVES``, with each letter's rule written out by hand.
+``add_arc_reference`` and ``remove_arc_reference`` keep the b-diagram edits
+from before they read block ends: ``add_arc`` on the arc set and a degree
+count, ``remove_arc`` splicing lists.
 """
 
 import itertools
@@ -32,11 +35,17 @@ from itertools import accumulate
 from hypothesis import strategies as st
 
 from arcdiagrams import (
+    AlreadyPresent,
     BClassification,
     BDiagram,
     Classification,
     CyclicPerm,
+    DegreeExceeded,
     InvalidReason,
+    NotPresent,
+    NotRepresentable,
+    OutOfRange,
+    WouldCycle,
     all_cyclic_perms,
     catalan_number,
     cycle_word,
@@ -284,6 +293,56 @@ def feasibility_table_reference(word, prefix):
             row.append(bits & upto(s // 2))
         table[i] = tuple(row)
     return table
+
+
+def _small_end_first(block):
+    return block if block[0] <= block[-1] else block[::-1]
+
+
+def add_arc_reference(b, arc):
+    """``bdiagram.add_arc`` deciding on the arc set and each vertex's arc count."""
+    x, y = arc
+    if not (1 <= x <= b.n and 1 <= y <= b.n):
+        raise OutOfRange(f"arc {arc} out of 1..{b.n}")
+    if x == y:
+        raise WouldCycle("an arc needs two distinct endpoints")
+    lo, hi = min(x, y), max(x, y)
+    if (lo, hi) in b.arcs():
+        raise AlreadyPresent(f"arc ({lo}, {hi}) already present")
+    degree = Counter(v for a in b.arcs() for v in a)
+    if degree[lo] == 2 or degree[hi] == 2:
+        raise DegreeExceeded("both endpoints must have at most one arc")
+    where = {v: idx for idx, block in enumerate(b.blocks) for v in block}
+    if where[lo] == where[hi]:
+        raise WouldCycle(f"{lo} and {hi} already share a block")
+    first, second = sorted((where[lo], where[hi]))
+    if len(b.blocks[first]) + len(b.blocks[second]) == b.n:
+        raise NotRepresentable("the merged block would hold every vertex")
+
+    def ending_at(block, v):
+        return block if block[-1] == v else block[::-1]
+
+    a_part = ending_at(b.blocks[where[x]], x)
+    c_part = ending_at(b.blocks[where[y]], y)[::-1]
+    merged = _small_end_first(a_part + c_part)
+    blocks = [
+        merged if idx == first else block
+        for idx, block in enumerate(b.blocks)
+        if idx != second
+    ]
+    return BDiagram(tuple(blocks))
+
+
+def remove_arc_reference(b, arc):
+    """``bdiagram.remove_arc`` splicing the pieces into a list of blocks."""
+    lo, hi = min(arc), max(arc)
+    for idx, block in enumerate(b.blocks):
+        for t in range(len(block) - 1):
+            if {block[t], block[t + 1]} == {lo, hi}:
+                pieces = [_small_end_first(block[: t + 1]), _small_end_first(block[t + 1 :])]
+                blocks = list(b.blocks[:idx]) + pieces + list(b.blocks[idx + 1 :])
+                return BDiagram(tuple(blocks))
+    raise NotPresent(f"arc ({lo}, {hi}) not in the diagram")
 
 
 def arc_subsets(n):

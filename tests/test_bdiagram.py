@@ -41,6 +41,7 @@ from arcdiagrams import (
 from arcdiagrams.bdiagram import _blocks_from_arcs, _feasibility_table
 from arcdiagrams.cli import main
 from conftest import (
+    add_arc_reference,
     arc_graph_shape,
     arc_subsets,
     block_word_screen,
@@ -50,6 +51,7 @@ from conftest import (
     feasibility_table_reference,
     generated_bdiagrams,
     random_bdiagram,
+    remove_arc_reference,
     scan_bclassification,
 )
 
@@ -508,6 +510,23 @@ class TestEdits:
             arc = arcs[rng.randrange(len(arcs))]
             again = add_arc(remove_arc(b, arc), arc)
             assert again.normalized() == b.normalized()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_exhaustive_against_references(self, n):
+        # every diagram as listed, with its blocks in reverse order and with
+        # every block reversed, against every arc with ends in -1..n+1
+        def outcome(edit, b, arc):
+            try:
+                return repr(edit(b, arc))
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        ends = range(-1, n + 2)
+        for b in all_bdiagrams(n):
+            for v in (b, BDiagram(b.blocks[::-1]), BDiagram(tuple(x[::-1] for x in b.blocks))):
+                for arc in itertools.product(ends, ends):
+                    assert outcome(add_arc, v, arc) == outcome(add_arc_reference, v, arc), arc
+                    assert outcome(remove_arc, v, arc) == outcome(remove_arc_reference, v, arc)
 
     def test_transpose(self):
         assert str(transpose_labels(parse_bdiagram("1 2 | 3"), 2, 3)) == "1 3 | 2"

@@ -539,6 +539,47 @@ class TestBrokenPipe:
         assert b"Traceback" not in err
 
 
+BIG = "9" * 130_000
+ENTRIES = " ".join(map(str, range(1, 20_001)))
+UNGENERATED = "1 3 | 2 4 " + ENTRIES[8:]  # arcs 1-3 and 2-4, which 1 2 3 ... lacks
+CJK = "".join(map(chr, range(0x4E00, 0x4E00 + 20_000)))
+
+
+class TestHugeInputMessages:
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (1, ["classify", f"1 2 {BIG}"]),
+            (1, ["classify", "1 " * 20_000]),
+            (1, ["classify", ENTRIES + " x"]),
+            (1, ["crossing", f"1 2 | {BIG}"]),
+            (1, ["crossing", "1 | " * 10_000 + "2"]),
+            (1, ["crossing", ENTRIES + " | |"]),
+            (1, ["crossing", ENTRIES + " | x"]),
+            (3, ["census", BIG]),
+            (1, ["census", "-" + BIG]),
+            (3, ["invert", "rkR", "--cap", "-" + BIG]),
+            (3, ["generators", "--list", "1 | 2 | 3 | 4", "--cap", "-" + BIG]),
+            (2, ["edit", "add", "1 | 2", "1", BIG]),
+            (2, ["edit", "remove", "1 | 2", "1", BIG]),
+            (2, ["cutset", ENTRIES, UNGENERATED]),
+            (1, ["inflate", CJK]),
+            (1, ["validate-word", CJK]),
+        ],
+        ids=[
+            "classify-digits", "classify-entries", "classify-non-integer", "crossing-digits",
+            "crossing-entries", "crossing-empty-block", "crossing-non-integer", "census-big",
+            "census-negative", "invert-cap", "generators-cap", "edit-add", "edit-remove",
+            "cutset", "inflate", "validate-word",
+        ],
+    )
+    def test_one_short_stderr_line(self, capsys, code, argv):
+        # the parent's exit code, and the input echoed in a line of tens of characters
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

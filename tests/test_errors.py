@@ -1,20 +1,38 @@
 import math
+import sys
 
 import pytest
 
 from arcdiagrams import (
+    AlphabetMismatch,
     BDiagram,
     CapExceeded,
+    CycleDiagram,
+    CyclicPerm,
+    EmptyBlock,
+    HasKeratoids,
+    NotAGenerator,
+    NotAPermutation,
+    NotPresent,
+    OutOfRange,
     TooLarge,
+    TooSmall,
+    add_arc,
+    all_cyclic_perms,
     complete_table,
+    cut_set,
+    dyck_parity_word,
     enumerate_generators,
     generators_oracle,
+    inflate,
     parse_bdiagram,
+    parse_perm,
     perms_from_word,
     perms_from_word_oracle,
+    remove_arc,
 )
 from arcdiagrams.cli import census_report, main
-from arcdiagrams.errors import ORACLE_MAX_N, check_cap
+from arcdiagrams.errors import ORACLE_MAX_N, brief, check_cap
 
 SEVEN = parse_bdiagram("1 | 2 | 3 | 4 | 5 | 6 | 7")
 
@@ -80,3 +98,67 @@ def test_digit_count_is_exact(digits):
             check_cap(count, 0, "items")
         stated = str(info.value).split()[0 if digits <= 30 else 1]
         assert stated == (str(count) if digits <= 30 else f"{digits}-digit")
+
+
+BIG = 10**5000  # past the 4,300 digits str() allows by default
+DIGITS = "9" * 5000
+ENTRIES = " ".join(map(str, range(1, 5001)))
+UNGENERATED = "1 3 | 2 4 " + ENTRIES[8:]  # arcs 1-3 and 2-4, which 1 2 3 ... lacks
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: CyclicPerm((1, 2, BIG)), NotAPermutation),
+        (lambda: parse_perm(f"1 2 {DIGITS}"), NotAPermutation),
+        (lambda: parse_perm(ENTRIES + " x"), NotAPermutation),
+        (lambda: BDiagram(((1, 2), (BIG,))), NotAPermutation),
+        (lambda: parse_bdiagram(f"1 2 | {DIGITS}"), NotAPermutation),
+        (lambda: parse_bdiagram(ENTRIES + " | |"), EmptyBlock),
+        (lambda: census_report(BIG), TooLarge),
+        (lambda: census_report(-BIG), TooSmall),
+        (lambda: next(all_cyclic_perms(-BIG)), TooSmall),
+        (lambda: perms_from_word("rkR", -BIG), CapExceeded),
+        (lambda: add_arc(parse_bdiagram("1 | 2"), (1, BIG)), OutOfRange),
+        (lambda: remove_arc(parse_bdiagram("1 | 2"), (1, BIG)), NotPresent),
+        (lambda: cut_set(parse_perm(ENTRIES), parse_bdiagram(UNGENERATED)), NotAGenerator),
+        (lambda: dyck_parity_word(parse_perm(ENTRIES)), HasKeratoids),
+        (lambda: CycleDiagram(3, frozenset({(1, 2), (2, 3), (1, BIG)})), ValueError),
+        (lambda: inflate("".join(map(chr, range(0x4E00, 0x4E00 + 5000)))), AlphabetMismatch),
+    ],
+    ids=[
+        "CyclicPerm", "parse_perm-digits", "parse_perm-entries", "BDiagram",
+        "parse_bdiagram-digits", "parse_bdiagram-entries", "check_scan", "census-TooSmall",
+        "all_cyclic_perms", "check_cap-cap", "add_arc", "remove_arc", "cut_set",
+        "dyck_parity_word", "spanning_cycle", "check_letters",
+    ],
+)
+def test_message_sites_echo_huge_input_briefly(call, error):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        with pytest.raises(error) as info:
+            call()
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert "Exceeds the limit" not in str(info.value) and len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (10**30 - 1, "9" * 30),
+        (10**30, "a 31-digit number"),
+        (-(10**30), "a 31-digit negative number"),
+        ("x" * 40, "x" * 40),
+        ("x" * 41, "x" * 20 + "… (41 characters)"),
+        ((), "()"),
+        ((1,), "(1,)"),
+        (((1, 2), (3,)), "((1, 2), (3,))"),
+        (["a", "b"], "['a', 'b']"),
+        (tuple(range(100)), "(0, 1, 2, 3, 4, 5, 6… (100 entries)"),
+        ((1, 10**40), "(1, a 41-digit number)"),
+    ],
+)
+def test_brief(value, text):
+    assert brief(value) == text
