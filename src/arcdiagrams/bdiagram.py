@@ -44,12 +44,13 @@ from .perm import (
     Arc,
     CyclicPerm,
     _Value,
+    _int_entries,
     _vertices,
     arc_set,
     arc_text,
     arc_word,
     letter_sets,
-    trace_components,
+    trace_paths,
 )
 from .words import degree_vector
 
@@ -112,15 +113,13 @@ class BDiagram(_Value):
 
 def parse_bdiagram(text: str) -> BDiagram:
     """Parse blocks separated by ``|``, e.g. ``"3 1 6 | 2 7 8 | 4 5"``."""
+    segments = [segment.split() for segment in text.split("|")]
+    n = sum(map(len, segments))
     blocks = []
-    for segment in text.split("|"):
-        tokens = segment.split()
+    for tokens in segments:
         if not tokens:
             raise EmptyBlock(f"empty block in {brief(text)!r}")
-        try:
-            blocks.append(tuple(int(t) for t in tokens))
-        except ValueError as exc:
-            raise NotAPermutation(f"non-integer entry in {brief(text)!r}") from exc
+        blocks.append(_int_entries(tokens, text, n))
     return BDiagram(tuple(blocks))
 
 
@@ -289,14 +288,14 @@ def _blocks_from_arcs(n: int, arcs: frozenset[Arc]) -> BDiagram:
     vertices.
     """
     try:
-        components = trace_components(n, arcs)
+        paths = trace_paths(n, arcs)
     except ValueError as exc:
         raise NotRepresentable("a vertex would meet more than two arcs") from exc
-    if any(is_cycle for _, is_cycle in components):
+    if paths is None:
         raise NotRepresentable("arcs contain a cycle")
-    if len(components) == 1:
+    if len(paths) == 1:
         raise NotRepresentable("the arcs form a single path of all vertices")
-    return BDiagram(tuple(walk for walk, _ in components))
+    return BDiagram(tuple(paths))
 
 
 def cut_set(p: CyclicPerm, b: BDiagram) -> frozenset[Arc]:

@@ -31,7 +31,7 @@ from .perm import (
     arc_set,
     sorted_perms,
     spanning_cycle,
-    trace_components,
+    trace_paths,
 )
 
 
@@ -179,18 +179,19 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
     if b.n != other.n:
         raise SizeMismatch(f"vertex counts differ: {b.n} vs {other.n}")
     mine, theirs = b.arcs(), other.arcs()
+    union = mine | theirs
     try:
-        components = trace_components(b.n, mine | theirs)
-    except ValueError:  # a vertex meets three arcs
-        components = []
+        walks = trace_paths(b.n, union) or [spanning_cycle(b.n, union)]
+    except ValueError:  # a vertex meets three arcs, or a cycle misses one
+        walks = []
     shared: tuple[CyclicPerm, ...] = ()
-    if len(components) == 1:
-        walk, _ = components[0]
+    if len(walks) == 1:
+        walk = walks[0]
         at = walk.index(1)
         first = CyclicPerm(walk[at:] + walk[:at])
         shared = tuple(sorted((first, first.reverse())))
-    elif components and not any(is_cycle for _, is_cycle in components):
-        shared = enumerate_generators(BDiagram(tuple(walk for walk, _ in components)))
+    elif walks:
+        shared = enumerate_generators(BDiagram(tuple(walks)))
     return CommonGenerators(
         generators=shared,
         first_in_second=mine <= theirs,

@@ -102,26 +102,23 @@ def arc_text(arcs: Iterable[Arc], isolated: Iterable[int] = ()) -> str:
 
 def _neighbours(n: int, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
     """Each vertex's first and second neighbour in arc order, 0 for none: the
-    neighbour table that every walk reads.  Raises ``ValueError``, once all
-    arcs are read, if a vertex meets three or more arcs."""
+    neighbour table that every walk reads.  Raises ``ValueError`` at the first
+    vertex found to meet three or more arcs."""
     first = [0] * (n + 1)
     second = [0] * (n + 1)
-    crowded = False
     for i, j in arcs:
         if not first[i]:
             first[i] = j
         elif not second[i]:
             second[i] = j
         else:
-            crowded = True
+            raise ValueError("a vertex meets more than two arcs")
         if not first[j]:
             first[j] = i
         elif not second[j]:
             second[j] = i
         else:
-            crowded = True
-    if crowded:
-        raise ValueError("a vertex meets more than two arcs")
+            raise ValueError("a vertex meets more than two arcs")
     return first, second
 
 
@@ -135,43 +132,36 @@ def _walk(first: list[int], second: list[int], start: int, ahead: int) -> list[i
     return walk
 
 
-def trace_components(n: int, arcs: Iterable[Arc]) -> list[tuple[tuple[int, ...], bool]]:
-    """Walk every component of an arc set on 1..n, visiting each vertex once.
+def trace_paths(n: int, arcs: Iterable[Arc]) -> list[tuple[int, ...]] | None:
+    """The paths of an arc set on 1..n (an isolated vertex is one), each from its
+    smaller end and sorted by least vertex; ``None`` when the arcs hold a cycle.
+    Raises ``ValueError`` when a vertex meets three or more arcs.
 
-    Returns ``(walk, is_cycle)`` pairs in order of each component's smallest
-    vertex.  A path (an isolated vertex included) is walked from its
-    smaller end; a cycle from its smallest vertex towards that vertex's
-    smaller neighbour.  Raises ``ValueError`` when a vertex meets three or
-    more arcs.
-
-    >>> trace_components(5, [(1, 4), (2, 4), (3, 5)])
-    [((1, 4, 2), False), ((3, 5), False)]
-    >>> trace_components(3, [(1, 2), (2, 3), (1, 3)])
-    [((1, 2, 3), True)]
+    >>> trace_paths(5, [(1, 4), (2, 4), (3, 5)])
+    [(1, 4, 2), (3, 5)]
+    >>> trace_paths(4, [(1, 2), (2, 3), (1, 3)]) is None
+    True
     """
     first, second = _neighbours(n, arcs)
-    seen = [False] * (n + 1)
-    components = []
-    # the paths first, each from the end the scan meets first, its smaller;
-    # every vertex left lies on a cycle, met first at its smallest vertex
-    for is_cycle in (False, True):
-        for start in range(1, n + 1):
-            if seen[start] or (second[start] and not is_cycle):
-                continue  # walked already, or not a path end
-            ahead = min(first[start], second[start]) if is_cycle else first[start]
-            walk = _walk(first, second, start, ahead)
-            for v in walk:
-                seen[v] = True
-            components.append((tuple(walk), is_cycle))
-    components.sort(key=lambda component: min(component[0]))
-    return components
+    far = [False] * (n + 1)
+    paths = []
+    for start in range(1, n + 1):  # each path from the end met first, marking the other
+        if not (second[start] or far[start]):
+            walk = _walk(first, second, start, first[start])
+            far[walk[-1]] = True
+            paths.append(tuple(walk))
+    if sum(map(len, paths)) < n:
+        return None  # the vertices left over lie on cycles
+    paths.sort(key=min)
+    return paths
 
 
 def spanning_cycle(n: int, arcs: frozenset[Arc]) -> tuple[int, ...]:
     """The cycle that ``arcs`` forms through all of 1..n, walked from 1 towards
     its smaller neighbour; ``ValueError`` unless the n arcs form just that."""
     if len(arcs) != n:
-        raise ValueError(f"expected {n} arcs, got {len(arcs)}")
+        of = " of" * (abs(n) >= 10**30)  # after a digit count, as in ``check_cap``
+        raise ValueError(f"expected {brief(n)}{of} arcs, got {len(arcs)}")
     for i, j in arcs:
         if not (1 <= i < j <= n):
             raise ValueError(f"bad arc ({brief(i)}, {brief(j)}) for n={n}")
@@ -254,11 +244,22 @@ def parse_perm(text: str) -> CyclicPerm:
     tokens = text.split()
     if not tokens:
         raise NotAPermutation("empty permutation text")
-    try:
-        values = tuple(int(t) for t in tokens)
-    except ValueError as exc:
-        raise NotAPermutation(f"non-integer entry in {brief(text)!r}") from exc
-    return CyclicPerm(values)
+    return CyclicPerm(_int_entries(tokens, text, len(tokens)))
+
+
+def _int_entries(tokens: list[str], text: str, n: int) -> tuple[int, ...]:
+    """``tokens`` of ``text``, which holds ``n`` entries, as integers; else
+    :class:`NotAPermutation` names the first that is no integer, or one too long
+    for ``int()`` (past the interpreter's digit limit, so outside 1..n)."""
+    entries = []
+    for token in tokens:
+        try:
+            entries.append(int(token))
+        except ValueError as exc:
+            huge = (token[1:] if token[0] in "+-" else token).isdecimal()
+            what = f"entry outside 1..{n}" if huge else "non-integer entry"
+            raise NotAPermutation(f"{what} in {brief(text)!r}") from exc
+    return tuple(entries)
 
 
 class CycleDiagram(_Value):

@@ -18,18 +18,27 @@ and ``scan_classes_from_word`` keep the letter readers from before the one
 the block word from two counters, and class sets from one scan per letter.
 ``trace_components_reference`` and ``cycle_diagram_check_reference`` keep
 the component walker over per-vertex neighbour lists and the
-``CycleDiagram`` check built on it, from before the flat neighbour table.
+``CycleDiagram`` check built on it, from before the flat neighbour table;
+the reference walks cycles too, so it checks both the path walker
+``perm.trace_paths`` (its paths, or ``None`` for any cycle) and the walk
+of ``perm.spanning_cycle``.
 ``count_perms_reference`` and ``feasibility_table_reference`` keep the
 fibre count and the realization's feasibility table from before the one
 move table ``perm.MOVES``, with each letter's rule written out by hand.
 ``add_arc_reference`` and ``remove_arc_reference`` keep the b-diagram edits
 from before they read block ends: ``add_arc`` on the arc set and a degree
 count, ``remove_arc`` splicing lists.
+
+``random_bdiagram`` and ``random_cut`` draw seeded b-diagrams, the second one
+that a given permutation generates, and ``int_str_limit`` runs a block under
+a chosen int-string digit limit.
 """
 
 import itertools
 import random
+import sys
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from itertools import accumulate
 
 from hypothesis import strategies as st
@@ -426,6 +435,15 @@ def random_bdiagram(rng: random.Random, n: int) -> BDiagram:
     return BDiagram(tuple(blocks))
 
 
+def random_cut(rng: random.Random, p: CyclicPerm) -> BDiagram:
+    """A diagram ``p`` generates: its cycle cut at two or more random arcs."""
+    seq, n = p.seq, p.n
+    cuts = sorted(rng.sample(range(n), rng.randint(2, n)))
+    # cut i removes the arc into seq[i]; the last piece wraps past the end
+    pieces = [seq[i:j] for i, j in zip(cuts, cuts[1:])]
+    return BDiagram((*pieces, seq[cuts[-1]:] + seq[: cuts[0]]))
+
+
 @st.composite
 def elevated_motzkin_words(draw, max_n, max_height=None, max_k=None):
     """Words r + (a Motzkin word) + R with 3..max_n letters: the valid words.
@@ -474,3 +492,14 @@ def generated_bdiagrams(draw, max_n):
     pieces = draw(st.permutations(pieces))
     flips = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
     return p, BDiagram(tuple(b[::-1] if f else b for b, f in zip(pieces, flips)))
+
+
+@contextmanager
+def int_str_limit(digits):
+    """Run a block under Python's int-to-str digit limit ``digits`` (0: none)."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)

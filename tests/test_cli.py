@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,12 @@ from hypothesis import strategies as st
 import arcdiagrams
 from arcdiagrams import block_word, canonical_generator, parse_bdiagram, parse_perm
 from arcdiagrams.cli import census_report, main, render_ascii, render_svg
-from conftest import census_grouping_oracle, elevated_motzkin_words, random_bdiagram
+from conftest import (
+    census_grouping_oracle,
+    elevated_motzkin_words,
+    int_str_limit,
+    random_bdiagram,
+)
 
 MOTZKIN_ART = """\
     _
@@ -36,17 +40,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@contextmanager
-def int_str_limit(digits):
-    """Run a block under Python's int-to-str digit limit ``digits`` (0: none)."""
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(before)
 
 
 class TestClassify:

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import pytest
 
@@ -33,6 +32,7 @@ from arcdiagrams import (
 )
 from arcdiagrams.cli import census_report, main
 from arcdiagrams.errors import ORACLE_MAX_N, brief, check_cap
+from conftest import int_str_limit
 
 SEVEN = parse_bdiagram("1 | 2 | 3 | 4 | 5 | 6 | 7")
 
@@ -124,24 +124,48 @@ UNGENERATED = "1 3 | 2 4 " + ENTRIES[8:]  # arcs 1-3 and 2-4, which 1 2 3 ... la
         (lambda: cut_set(parse_perm(ENTRIES), parse_bdiagram(UNGENERATED)), NotAGenerator),
         (lambda: dyck_parity_word(parse_perm(ENTRIES)), HasKeratoids),
         (lambda: CycleDiagram(3, frozenset({(1, 2), (2, 3), (1, BIG)})), ValueError),
+        (lambda: CycleDiagram(BIG, frozenset()), ValueError),
         (lambda: inflate("".join(map(chr, range(0x4E00, 0x4E00 + 5000)))), AlphabetMismatch),
     ],
     ids=[
         "CyclicPerm", "parse_perm-digits", "parse_perm-entries", "BDiagram",
         "parse_bdiagram-digits", "parse_bdiagram-entries", "check_scan", "census-TooSmall",
         "all_cyclic_perms", "check_cap-cap", "add_arc", "remove_arc", "cut_set",
-        "dyck_parity_word", "spanning_cycle", "check_letters",
+        "dyck_parity_word", "spanning_cycle", "check_letters", "spanning_cycle-n",
     ],
 )
-def test_message_sites_echo_huge_input_briefly(call, error):
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)  # the interpreter's default
-    try:
-        with pytest.raises(error) as info:
-            call()
-    finally:
-        sys.set_int_max_str_digits(before)
+def test_message_sites_echo_huge_input_briefly(call, error, request):
+    with int_str_limit(4300), pytest.raises(error) as info:  # the interpreter's default
+        call()
     assert "Exceeds the limit" not in str(info.value) and len(str(info.value)) < 200
+    if request.node.callspec.id.endswith("-digits"):  # an integer, if too long for int()
+        assert "non-integer" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, what",
+    [
+        (parse_perm, f"1 2 {DIGITS}", "entry outside 1..3"),
+        (parse_perm, f"1 -{DIGITS} 2 x", "entry outside 1..4"),
+        (parse_perm, f"1 2 x {DIGITS}", "non-integer entry"),
+        (parse_perm, f"1 2 +-{DIGITS}", "non-integer entry"),
+        (parse_perm, "1 2 x", "non-integer entry"),
+        (parse_bdiagram, f"1 2 | {DIGITS}", "entry outside 1..3"),
+        (parse_bdiagram, f"1 | {DIGITS} | 3 4", "entry outside 1..4"),
+        (parse_bdiagram, f"1 | | {DIGITS}", "empty block"),
+        (parse_bdiagram, "1 2 | x", "non-integer entry"),
+    ],
+    ids=[
+        "perm-huge", "perm-huge-negative", "perm-x-first", "perm-two-signs", "perm-x",
+        "bdiagram-huge", "bdiagram-huge-inner", "bdiagram-empty-first", "bdiagram-x",
+    ],
+)
+def test_huge_integer_entry_is_named_outside_the_range(parse, text, what):
+    # the first bad token decides, and an integer past int()'s digit limit is no
+    # "non-integer": it is outside 1..n for the n entries of the whole text
+    with int_str_limit(4300), pytest.raises((NotAPermutation, EmptyBlock)) as info:
+        parse(text)
+    assert str(info.value) == f"{what} in {brief(text)!r}"
 
 
 @pytest.mark.parametrize(

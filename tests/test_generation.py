@@ -19,7 +19,7 @@ from arcdiagrams import (
     generators_oracle,
     parse_bdiagram,
 )
-from conftest import random_bdiagram
+from conftest import random_bdiagram, random_cut
 
 THREE_BLOCKS = "1 2 3 | 4 7 8 | 5 6"
 THREE_BLOCKS_GENERATORS = (
@@ -236,6 +236,21 @@ class TestCommonGenerators:
                 union = b.arcs() | other.arcs()
                 expected = tuple(p for p, arcs in universe if union <= arcs)
                 assert common_generators(b, other).generators == expected, (b, other)
+
+    @pytest.mark.parametrize("n", range(6, 9))
+    def test_seeded_pairs_against_universe(self, n):
+        # half the pairs share a generator by construction, half are independent
+        rng = random.Random(n)
+        universe = [(p, arc_set(p).arcs) for p in all_cyclic_perms(n)]
+        for k in range(100):
+            b = random_bdiagram(rng, n)
+            if k % 2:
+                other = random_bdiagram(rng, n)
+            else:
+                other = random_cut(rng, rng.choice([p for p, arcs in universe if b.arcs() <= arcs]))
+            union = b.arcs() | other.arcs()
+            expected = tuple(p for p, arcs in universe if union <= arcs)
+            assert common_generators(b, other).generators == expected, (b, other)
 
     def test_beyond_ten_vertices(self):
         wide = parse_bdiagram("1 7 | 2 8 | 3 9 | 4 10 | 5 11 | 6 12")

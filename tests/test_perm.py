@@ -18,7 +18,7 @@ from arcdiagrams import (
     parse_perm,
 )
 from arcdiagrams.inversion import sequence_word
-from arcdiagrams.perm import _vertices, sorted_perms, spanning_cycle, trace_components
+from arcdiagrams.perm import _vertices, sorted_perms, spanning_cycle, trace_paths
 from arcdiagrams.words import word_of_classes
 from conftest import (
     arc_graph_shape,
@@ -172,6 +172,21 @@ class TestCycleDiagramValidation:
             CycleDiagram(n, frozenset(arcs))
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "n, size",
+        [
+            (10**30 - 1, "9" * 30),
+            (10**30, "a 31-digit number of"),
+            (10**40, "a 41-digit number of"),
+            (-(10**40), "a 41-digit negative number of"),
+        ],
+        ids=["30-digits", "31-digits", "41-digits", "41-digits-negative"],
+    )
+    def test_count_message_gives_a_huge_n_by_its_digits(self, n, size):
+        with pytest.raises(ValueError) as caught:
+            CycleDiagram(n, frozenset())
+        assert str(caught.value) == f"expected {size} arcs, got 0"
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_accepts_exactly_spanning_cycles(self, n):
         for arcs in arc_subsets(n):
@@ -187,11 +202,20 @@ class TestCycleDiagramValidation:
 class TestNeighbourTable:
     """The walkers over the flat neighbour table against the list-based ones."""
 
+    @staticmethod
+    def paths_reference(n, arcs):
+        """The reference components' walks, or None if one is a cycle."""
+        components = trace_components_reference(n, arcs)
+        if any(is_cycle for _, is_cycle in components):
+            return None
+        return [walk for walk, _ in components]
+
     @pytest.mark.parametrize("n", range(0, 7))
     def test_trace_components_matches_reference(self, n):
+        # the path walker against the reference walker over all components
         for arcs in arc_subsets(n):
-            expected = outcome(trace_components_reference, n, arcs)
-            assert outcome(trace_components, n, arcs) == expected, arcs
+            expected = outcome(self.paths_reference, n, arcs)
+            assert outcome(trace_paths, n, arcs) == expected, arcs
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_spanning_cycle_matches_reference(self, n):
@@ -200,7 +224,7 @@ class TestNeighbourTable:
             kind, result = outcome(spanning_cycle, n, arcs)
             if kind == "ok":
                 accepted += 1
-                assert result == trace_components(n, arcs)[0][0], arcs
+                assert [(result, True)] == trace_components_reference(n, arcs), arcs
                 result = None  # the reference check returns nothing
             assert (kind, result) == outcome(cycle_diagram_check_reference, n, arcs), arcs
         assert accepted == (factorial(n - 1) // 2 if n >= 3 else 0)
