@@ -333,12 +333,22 @@ def max_crossing(b: BDiagram) -> int:
     A crossing family spans some boundary between two vertices.  At each
     boundary the arcs over it, by increasing start and then decreasing
     end, give the largest family as the longest strictly increasing
-    subsequence of ends, found by patience sorting: O(n * m log m) for m
-    arcs.
+    subsequence of ends, found by patience sorting in O(m log m) for m
+    arcs.  Boundaries are visited by decreasing count of arcs over them,
+    stopping at a count no larger than the best family found, since a
+    family of k spans a boundary with at least k arcs over it: O(n * m
+    log m) at worst, as for nested arcs.
     """
     arcs = sorted(b.arcs(), key=lambda arc: (arc[0], -arc[1]))
+    change = [0] * (b.n + 1)
+    for i, j in arcs:
+        change[i] += 1
+        change[j] -= 1
+    over = list(itertools.accumulate(change))  # over[t]: arcs with i <= t < j
     best = 0
-    for boundary in range(1, b.n):
+    for boundary in sorted(range(1, b.n), key=over.__getitem__, reverse=True):
+        if over[boundary] <= best:
+            break
         tails: list[int] = []  # tails[k]: least end of a family of k + 1
         for i, j in arcs:
             if i > boundary:

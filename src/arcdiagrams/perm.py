@@ -54,7 +54,11 @@ MOVES = {
 class _Value:
     """An immutable record over its ``__slots__``, which ``__init__`` sets by
     ``object.__setattr__``.  Equal only within its class, it hashes as the
-    tuple of its fields and prints as ``Name(field=value, ...)``."""
+    tuple of its fields and prints as ``Name(field=value, ...)``.
+
+    Where the fields are valid by construction, internal code builds the value
+    by ``object.__new__`` and ``object.__setattr__`` on each slot, skipping the
+    checks in ``__init__`` (see :func:`all_cyclic_perms` and :func:`arc_set`)."""
 
     __slots__ = ()
 
@@ -285,12 +289,18 @@ def arc_set(p: CyclicPerm) -> CycleDiagram:
     The closing pair (last entry, first entry) is included, so there are n
     arcs.  A permutation and its reverse give the same diagram.
     """
+    seq = p.seq
     pairs = []
-    prev = p.seq[-1]
-    for v in p.seq:
+    prev = seq[-1]
+    for v in seq:
         pairs.append((prev, v) if prev < v else (v, prev))
         prev = v
-    return CycleDiagram(p.n, frozenset(pairs))
+    # n >= 3 distinct entries give n distinct arcs on one spanning cycle, so the
+    # diagram skips the walk of ``CycleDiagram.__init__``
+    diagram = object.__new__(CycleDiagram)
+    object.__setattr__(diagram, "n", len(seq))
+    object.__setattr__(diagram, "arcs", frozenset(pairs))
+    return diagram
 
 
 class Classification(_Value):
@@ -354,5 +364,8 @@ def all_cyclic_perms(n: int) -> Iterator[CyclicPerm]:
     """All (n-1)! cyclic permutations of [n], in lexicographic order."""
     if n < 3:
         raise TooSmall(f"need at least 3 vertices, got {brief(n)}")
-    for rest in itertools.permutations(range(2, n + 1)):
-        yield CyclicPerm((1,) + rest)
+    new, put = object.__new__, object.__setattr__
+    for rest in itertools.permutations(range(2, n + 1)):  # valid by construction
+        p = new(CyclicPerm)
+        put(p, "seq", (1,) + rest)
+        yield p

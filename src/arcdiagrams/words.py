@@ -72,8 +72,8 @@ def cycle_word(p: CyclicPerm) -> str:
     order the cycle visits them).  A permutation and its reverse share one
     diagram, hence one word.
 
-    The letter is read straight off the validated arc set: 2, 1 or 0 arcs
-    opening at a vertex spell r, k or R.
+    The letter is read straight off the arc set: 2, 1 or 0 arcs opening at
+    a vertex spell r, k or R.
 
     >>> cycle_word(CyclicPerm((1, 3, 2, 7, 8, 4, 5, 6)))
     'rrRrkRkR'

@@ -11,7 +11,10 @@ applies the block-word screens from literal step tables.
 ``classification_oracle`` and ``census_grouping_oracle`` keep earlier
 versions of ``classify`` and ``census_report``: the classes built as
 frozensets from a count of opening arcs, and the census that groups every
-permutation by its word before looking for split exceptions.
+permutation by its word before looking for split exceptions (listing the
+permutations itself and reading words by ``value_class_word``).
+``crossing_patience_reference`` keeps ``max_crossing`` from before it
+visited boundaries by arc count: patience sorting at every boundary.
 ``opening_count_word``, ``counter_block_word``, ``scan_bclassification``
 and ``scan_classes_from_word`` keep the letter readers from before the one
 ``(opens, closes)`` table: the cycle word from the count of opening arcs,
@@ -34,6 +37,7 @@ that a given permutation generates, and ``int_str_limit`` runs a block under
 a chosen int-string digit limit.
 """
 
+import bisect
 import itertools
 import random
 import sys
@@ -55,9 +59,7 @@ from arcdiagrams import (
     NotRepresentable,
     OutOfRange,
     WouldCycle,
-    all_cyclic_perms,
     catalan_number,
-    cycle_word,
     motzkin_number,
 )
 from arcdiagrams.cli import CensusReport, SplitException
@@ -136,10 +138,13 @@ def scan_classes_from_word(word):
 
 
 def census_grouping_oracle(n):
-    """The census of [n] from every permutation grouped by its word."""
+    """The census of [n] from every permutation grouped by its word, the
+    permutations listed by ``itertools.permutations`` and each word read by
+    ``value_class_word``, sharing no code with ``census_report``'s path."""
     groups = {}
-    for p in all_cyclic_perms(n):
-        groups.setdefault(cycle_word(p), []).append(p.seq)
+    for rest in itertools.permutations(range(2, n + 1)):
+        seq = (1, *rest)
+        groups.setdefault(value_class_word(seq), []).append(seq)
     exceptions = []
     for word in sorted(groups):
         expected_second = min(i + 1 for i, c in enumerate(word) if c in "Rk")
@@ -418,6 +423,22 @@ def crossing_chain_dp(b):
             ]
             lengths.append(1 + max(prior, default=0))
         best = max(best, max(lengths, default=1))
+    return best
+
+
+def crossing_patience_reference(b):
+    """Largest mutually-crossing arc family by patience sorting at every boundary."""
+    arcs = sorted(b.arcs(), key=lambda arc: (arc[0], -arc[1]))
+    best = 0
+    for boundary in range(1, b.n):
+        tails = []  # tails[k]: least end of a family of k + 1
+        for i, j in arcs:
+            if i > boundary:
+                break
+            if j > boundary:
+                at = bisect.bisect_left(tails, j)
+                tails[at : at + 1] = [j]  # replace tails[at], or append
+        best = max(best, len(tails))
     return best
 
 

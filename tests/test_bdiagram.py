@@ -48,6 +48,7 @@ from conftest import (
     counter_block_word,
     crossing_brute_force,
     crossing_chain_dp,
+    crossing_patience_reference,
     feasibility_table_reference,
     generated_bdiagrams,
     random_bdiagram,
@@ -459,6 +460,25 @@ class TestMaxCrossing:
             for _ in range(4):
                 b = random_bdiagram(rng, n)
                 assert max_crossing(b) == crossing_chain_dp(b), b
+
+    def test_patience_reference_exhaustive(self):
+        # the early stop at a boundary count no larger than the best family
+        for n in range(2, 8):
+            for b in all_bdiagrams(n):
+                assert max_crossing(b) == crossing_patience_reference(b), b
+
+    def test_patience_reference_random(self):
+        rng = random.Random(4000)
+        diagrams = [random_bdiagram(rng, n) for n in (50, 200, 1000, 2000) for _ in range(2)]
+        for m in (10, 300):  # random matchings: many crossings
+            labels = list(range(1, 2 * m + 1))
+            rng.shuffle(labels)
+            diagrams.append(BDiagram(tuple(zip(labels[::2], labels[1::2]))))
+        for m in (40, 500):  # m mutually crossing arcs, then m nested ones
+            diagrams.append(BDiagram(tuple((i, i + m) for i in range(1, m + 1))))
+            diagrams.append(BDiagram(tuple((i, 2 * m + 1 - i) for i in range(1, m + 1))))
+        for b in diagrams:
+            assert max_crossing(b) == crossing_patience_reference(b), b.n
 
 
 class TestEdits:

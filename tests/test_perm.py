@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import factorial
 
 import pytest
@@ -136,6 +138,20 @@ class TestArcSet:
                 seq = p.seq
                 pairs = {tuple(sorted((seq[i - 1], seq[i]))) for i in range(n)}
                 assert arc_set(p).arcs == pairs
+
+    def test_exhaustive_equals_validated_diagram(self):
+        # arc_set skips the spanning-cycle walk of CycleDiagram.__init__
+        for n in range(3, 9):
+            for p in all_cyclic_perms(n):
+                d = arc_set(p)
+                validated = CycleDiagram(p.n, d.arcs)
+                assert d == validated and hash(d) == hash(validated)
+
+    @given(cyclic_perms(max_n=30))
+    def test_equals_validated_diagram(self, p):
+        d = arc_set(p)
+        validated = CycleDiagram(p.n, d.arcs)
+        assert d == validated and hash(d) == hash(validated)
 
 
 class TestCycleDiagramValidation:
@@ -334,6 +350,28 @@ class TestEnumeration:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             list(all_cyclic_perms(2))
+
+    def test_equals_validated_perms(self):
+        # all_cyclic_perms skips the checks of CyclicPerm.__init__
+        for n in range(3, 9):
+            perms = list(all_cyclic_perms(n))
+            assert perms == [CyclicPerm(p.seq) for p in perms]
+
+
+class TestUncheckedValues:
+    """Values built without ``__init__`` copy and pickle through it."""
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_survive_copy_and_pickle(self, duplicate):
+        p = list(all_cyclic_perms(6))[37]
+        for value in (p, arc_set(p)):
+            twin = duplicate(value)
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
 
 
 class TestSortedPerms:
