@@ -23,7 +23,7 @@ import itertools
 from bisect import bisect_left
 from collections import deque
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     AlreadyPresent,
@@ -65,7 +65,8 @@ class BDiagram(_Value):
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+    def __init__(self, blocks: Iterable[Iterable[int]]):
+        blocks = tuple(map(tuple, blocks))
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
             raise EmptyBlock("blocks must be nonempty")
@@ -101,7 +102,7 @@ class BDiagram(_Value):
 
     def normalized(self) -> BDiagram:
         """Canonical form: blocks oriented small end first, sorted by minimum."""
-        return BDiagram(tuple(sorted(map(_oriented, self.blocks), key=min)))
+        return BDiagram(sorted(map(_oriented, self.blocks), key=min))
 
     def arc_notation(self) -> str:
         """Brace notation with isolated vertices listed bare, e.g. ``{13,2,48,56,7}``."""
@@ -120,7 +121,7 @@ def parse_bdiagram(text: str) -> BDiagram:
         if not tokens:
             raise EmptyBlock(f"empty block in {brief(text)!r}")
         blocks.append(_int_entries(tokens, text, n))
-    return BDiagram(tuple(blocks))
+    return BDiagram(blocks)
 
 
 class BClassification(NamedTuple):
@@ -295,7 +296,7 @@ def _blocks_from_arcs(n: int, arcs: frozenset[Arc]) -> BDiagram:
         raise NotRepresentable("arcs contain a cycle")
     if len(paths) == 1:
         raise NotRepresentable("the arcs form a single path of all vertices")
-    return BDiagram(tuple(paths))
+    return BDiagram(paths)
 
 
 def cut_set(p: CyclicPerm, b: BDiagram) -> frozenset[Arc]:
@@ -407,9 +408,7 @@ def transpose_labels(b: BDiagram, i: int, j: int) -> BDiagram:
     if not (1 <= i <= b.n and 1 <= j <= b.n):
         raise OutOfRange(f"labels must lie in 1..{b.n}")
     swap = {i: j, j: i}
-    return BDiagram(
-        tuple(tuple(swap.get(v, v) for v in block) for block in b.blocks)
-    )
+    return BDiagram((swap.get(v, v) for v in block) for block in b.blocks)
 
 
 def all_bdiagrams(n: int) -> Iterator[BDiagram]:

@@ -30,18 +30,20 @@ from .words import (
 
 # ---------------------------------------------------------------- rendering
 
-def _layout(word: str, dialect: str) -> tuple[list[int], list[int], list[int]]:
-    """Steps of the path of ``word``, heights from 0, and each letter's first column.
+def _layout(word: str, dialect: str) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Steps of the path of ``word``, heights from 0, each letter's first
+    column, and the text band each step draws in: the band above its lower end.
 
-    Both lists run one entry past the steps: the last height is the end
-    height and the last column the width, so letter i spans columns
+    Heights and columns run one entry past the steps: the last height is the
+    end height and the last column the width, so letter i spans columns
     ``starts[i]`` up to ``starts[i + 1]``.
     """
     groups = step_groups(word, dialect)
     steps = [dy for group in groups for dy in group]
     heights = list(accumulate(steps, initial=0))
     starts = list(accumulate(map(len, groups), initial=0))
-    return steps, heights, starts
+    bands = [h - (dy == -1) for dy, h in zip(steps, heights)]
+    return steps, heights, starts, bands
 
 
 def render_ascii(word: str, dialect: str) -> str:
@@ -50,10 +52,8 @@ def render_ascii(word: str, dialect: str) -> str:
     One text column per unit step; vertex indices are printed under the
     first column of each letter's step group.
     """
-    steps, heights, starts = _layout(word, dialect)
+    steps, _, starts, bands = _layout(word, dialect)
     width = len(steps)
-    # a step draws in the band above its lower end
-    bands = [h - (dy == -1) for dy, h in zip(steps, heights)]
     top, bottom = max(bands), min(bands)
     rows = [[" "] * width for _ in range(top - bottom + 1)]
     for col, (dy, band) in enumerate(zip(steps, bands)):
@@ -70,7 +70,7 @@ def render_ascii(word: str, dialect: str) -> str:
 def render_svg(word: str, dialect: str) -> str:
     """The same path as a minimal SVG polyline with vertex labels."""
     unit, pad, label_space = 20, 10, 16
-    steps, heights, starts = _layout(word, dialect)
+    steps, heights, starts, _ = _layout(word, dialect)
     top, bottom = max(heights), min(heights)
     width = pad * 2 + unit * len(steps)
     height = pad * 2 + unit * (top - bottom) + label_space
@@ -300,8 +300,7 @@ def _cmd_render(args) -> int:
         word = args.input
         dialect = "block"
     if args.format != "svg":  # render_ascii's grid: a column per step, a row per band
-        steps, heights, _ = _layout(word, dialect)
-        bands = [h - (dy == -1) for dy, h in zip(steps, heights)]
+        steps, _, _, bands = _layout(word, dialect)
         check_cap((max(bands) - min(bands) + 2) * len(steps), args.cap, "cells to draw")
     art = render_svg(word, dialect) if args.format == "svg" else render_ascii(word, dialect)
     payload = {"kind": args.kind, "word": word, "art": art}
@@ -430,3 +429,7 @@ def run() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    run()

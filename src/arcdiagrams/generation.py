@@ -191,7 +191,7 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
         first = CyclicPerm(walk[at:] + walk[:at])
         shared = tuple(sorted((first, first.reverse())))
     elif walks:
-        shared = enumerate_generators(BDiagram(tuple(walks)))
+        shared = enumerate_generators(BDiagram(walks))
     return CommonGenerators(
         generators=shared,
         first_in_second=mine <= theirs,

@@ -1,13 +1,12 @@
 """Recovering the cyclic permutations that share a given word.
 
 The word-to-permutation map is many-to-one, so inverting a word means
-enumerating a set, its fibre.  Counting and listing both sweep the
-vertices left to right over the open partial paths drawn so far: an
-``r`` starts a path, a ``k`` extends one, an ``R`` joins two, and the
-final ``R`` closes the last one into the cycle.  ``count_perms_from_word``
-keeps only how many paths are open and how many are a lone ``r``, so an
-over-cap word is refused before listing; ``perms_from_word`` keeps the
-paths themselves, and every branch of its sweep ends in a cycle.
+enumerating a set, its fibre.  ``count_perms_from_word`` counts it as one
+product over the heights of the word's path, so an over-cap word is
+refused before listing.  ``perms_from_word`` lists it by a sweep of the
+vertices over the open partial paths drawn so far (an ``r`` starts one, a
+``k`` extends one, an ``R`` joins two or closes the cycle), written apart
+from the product and checked against it.
 
 ``perms_from_word_oracle`` is the independent check: it filters the full
 universe of (n-1)! permutations by their word and must agree with the
@@ -16,13 +15,12 @@ sweep everywhere.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_CAP, brief, check_cap, check_scan
-from .perm import MOVES, Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
+from .perm import Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
 from .words import check_cycle_word, cycle_word
 
 
@@ -85,17 +83,19 @@ def sequence_word(seq: Sequence[int]) -> str:
 def count_perms_from_word(word: str, cap: int | None = None) -> int:
     """Number of cyclic permutations whose word is ``word``, without listing them.
 
-    Sweeps the vertices left to right by the moves of ``perm.MOVES``, over
-    open partial paths that in a cycle word all wait at both ends.  The
-    state is (k paths, s of them a lone ``r``): a lone r's two waiting arcs
-    are interchangeable, while a longer path offers either end.  The final
-    ``R`` closes the one path left, so each cycle is counted once, and two
-    permutations walk it.  Raises ``NotAWord`` like :func:`perms_from_word`.
+    With h the height of the word's path before a letter (``r`` raises it,
+    ``R`` lowers it), the count is the product of 2h at each ``k`` and
+    h(h-1) at each ``R`` but the last.  Label the two stubs of each open
+    path: a ``k`` takes one of 2h stubs, an ``R`` joins stubs of two paths
+    in 2h(h-1) ways, and the last ``R`` closes the one path left.  Each
+    cycle so arises 2 ** #r times, once per labelling of the ``r``'s stubs,
+    and two permutations walk it; with the 2 ** (#r - 1) of the joins, the
+    powers of 2 cancel.  Raises ``NotAWord`` like :func:`perms_from_word`.
 
-    Every state the sweep reaches completes to at least one cycle, so after
-    each letter twice the ways so far bound the count from below.  Given a
-    ``cap``, raises ``CapExceeded`` with that bound as soon as it passes the
-    cap; a count within the cap is exact.
+    An elevated path has h >= 1 at a ``k`` and h >= 2 at an ``R`` but the
+    last, so the product so far bounds the count from below.  Given a
+    ``cap``, raises ``CapExceeded`` with that bound as soon as it passes
+    the cap; a count within the cap is exact.
 
     >>> count_perms_from_word("rkrRkR")
     8
@@ -104,37 +104,35 @@ def count_perms_from_word(word: str, cap: int | None = None) -> int:
     """
     check_cycle_word(word)
     what = f"permutations with the word {brief(word, 'letters')}"
-    states = {(0, 0): 1}  # (k, s) -> number of ways
+    count, height = 1, 0
     for letter in word[:-1]:
-        after: dict[tuple[int, int], int] = defaultdict(int)
-        # a cycle word leaves no one-stub path; a path made of none taken is a lone r
-        moves = [(twos, grown, grown > 0) for twos, ones, grown, _ in MOVES[letter] if not ones]
-        for (k, s), ways in states.items():
-            for twos, grown, lone_r in moves:
-                for lone in range(twos + 1):  # lone r among the paths taken
-                    times = comb(s, lone) * comb(k - s, twos - lone) << twos - lone
-                    if times:
-                        after[k + grown, s - lone + lone_r] += ways * times
-        states = after
+        if letter == "r":
+            height += 1
+            continue
+        if letter == "k":
+            count *= 2 * height
+        else:
+            count *= height * (height - 1)
+            height -= 1
         if cap is not None:
-            check_cap(2 * sum(states.values()), cap, what, at_least=True)
-    return 2 * states.get((1, 0), 0)
+            check_cap(count, cap, what, at_least=True)
+    return count
 
 
 def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """All cyclic permutations whose word is ``word``, in lexicographic order.
 
-    Runs the sweep of :func:`count_perms_from_word` on the open paths
-    themselves, as walks: ``r`` starts ``(v,)``, ``k`` appends v at either
-    end of one walk, ``R`` joins two as ``p + (v,) + q`` in every
-    orientation, and the final ``R`` closes the last.  Every branch ends in
-    a cycle, walked both ways from 1, so the result is closed under
-    reversal.  Raises ``NotAWord`` for a non-word and ``CapExceeded``
-    before listing when the count exceeds ``cap``.
+    Sweeps the vertices left to right over the open paths, as walks:
+    ``r`` starts ``(v,)``, ``k`` appends v at either end of one walk, ``R``
+    joins two as ``p + (v,) + q`` in every orientation, and the final ``R``
+    closes the last.  Every branch ends in a cycle, walked both ways from
+    1, so the result is closed under reversal.  Raises ``NotAWord`` for a
+    non-word and ``CapExceeded`` before listing when the count exceeds
+    ``cap``.
 
-    The letters are branched on here, not read off ``perm.MOVES``: the
-    listing must match the count in :func:`sorted_perms`, a check worth
-    something only while the two routes are written apart.
+    The sweep shares nothing with the product of
+    :func:`count_perms_from_word`, so :func:`sorted_perms` checking the
+    listing's length against that count is a real check.
     """
     total = count_perms_from_word(word, cap)
     n = len(word)

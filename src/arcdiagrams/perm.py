@@ -53,8 +53,9 @@ MOVES = {
 
 class _Value:
     """An immutable record over its ``__slots__``, which ``__init__`` sets by
-    ``object.__setattr__``.  Equal only within its class, it hashes as the
-    tuple of its fields and prints as ``Name(field=value, ...)``.
+    ``object.__setattr__`` in one form (tuples, frozensets) whatever the
+    caller passed.  Equal only within its class, it hashes as the tuple of
+    its fields and prints as ``Name(field=value, ...)``.
 
     Where the fields are valid by construction, internal code builds the value
     by ``object.__new__`` and ``object.__setattr__`` on each slot, skipping the
@@ -193,7 +194,8 @@ class CyclicPerm(_Value):
 
     __slots__ = ("seq",)
 
-    def __init__(self, seq: tuple[int, ...]):
+    def __init__(self, seq: Iterable[int]):
+        seq = tuple(seq)
         object.__setattr__(self, "seq", seq)
         n = len(seq)
         if set(seq) != _vertices(n):  # n entries, so none repeats
@@ -271,7 +273,8 @@ class CycleDiagram(_Value):
 
     __slots__ = ("n", "arcs")
 
-    def __init__(self, n: int, arcs: frozenset[Arc]):
+    def __init__(self, n: int, arcs: Iterable[Arc]):
+        arcs = frozenset(map(tuple, arcs))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
         spanning_cycle(n, arcs)
@@ -309,7 +312,8 @@ class Classification(_Value):
 
     __slots__ = ("R", "Rbar", "K")
 
-    def __init__(self, R: frozenset[int], Rbar: frozenset[int], K: frozenset[int]):
+    def __init__(self, R: Iterable[int], Rbar: Iterable[int], K: Iterable[int]):
+        R, Rbar, K = frozenset(R), frozenset(Rbar), frozenset(K)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "Rbar", Rbar)
         object.__setattr__(self, "K", K)

@@ -27,14 +27,17 @@ the reference walks cycles too, so it checks both the path walker
 of ``perm.spanning_cycle``.
 ``count_perms_reference`` and ``feasibility_table_reference`` keep the
 fibre count and the realization's feasibility table from before the one
-move table ``perm.MOVES``, with each letter's rule written out by hand.
+move table ``perm.MOVES``, with each letter's rule written out by hand; the
+count is a (k open paths, s lone r) dynamic program, not the library's
+product over path heights.
 ``add_arc_reference`` and ``remove_arc_reference`` keep the b-diagram edits
 from before they read block ends: ``add_arc`` on the arc set and a degree
 count, ``remove_arc`` splicing lists.
 
 ``random_bdiagram`` and ``random_cut`` draw seeded b-diagrams, the second one
-that a given permutation generates, and ``int_str_limit`` runs a block under
-a chosen int-string digit limit.
+that a given permutation generates, ``random_cycle_word`` draws a seeded
+valid cycle word, and ``int_str_limit`` runs a block under a chosen
+int-string digit limit.
 """
 
 import bisect
@@ -248,7 +251,8 @@ def count_perms_reference(word, cap=None):
     The state is (k open paths, s of them a lone r); a k takes an end of a
     lone r (s ways) or of a longer path (2(k-s) ways), an R joins the ends
     of two distinct paths.  Refuses over ``cap`` at the first lower bound
-    past it, as the library does.
+    past it, as the library did before it counted by a product: twice the
+    ways so far, a bound that can differ from the library's product so far.
     """
     states = {(0, 0): 1}
     for letter in word[:-1]:
@@ -463,6 +467,17 @@ def random_cut(rng: random.Random, p: CyclicPerm) -> BDiagram:
     # cut i removes the arc into seq[i]; the last piece wraps past the end
     pieces = [seq[i:j] for i, j in zip(cuts, cuts[1:])]
     return BDiagram((*pieces, seq[cuts[-1]:] + seq[: cuts[0]]))
+
+
+def random_cycle_word(rng: random.Random, n: int) -> str:
+    """A valid cycle word of n >= 3 letters: r, a Motzkin word, R."""
+    letters, height = ["r"], 0
+    for left in range(n - 3, -1, -1):  # inner letters after this one
+        choices = ["k"] * (height <= left) + ["r"] * (height < left) + ["R"] * (height > 0)
+        letter = rng.choice(choices)
+        height += {"r": 1, "R": -1, "k": 0}[letter]
+        letters.append(letter)
+    return "".join(letters) + "R"
 
 
 @st.composite

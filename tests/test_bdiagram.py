@@ -337,6 +337,10 @@ class TestRealizationProperties:
 
 
 class TestValueProperties:
+    def test_list_input_equals_tuple_input(self):
+        b, c = BDiagram([[1, 2], [3]]), BDiagram(((1, 2), (3,)))
+        assert b == c and hash(b) == hash(c) and b.blocks == ((1, 2), (3,))
+
     @settings(derandomize=True, deadline=None)
     @given(bdiagrams(max_n=30))
     def test_parse_str_round_trip_equal_and_hash_alike(self, b):

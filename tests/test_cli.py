@@ -127,13 +127,13 @@ class TestInvert:
         assert "rrrrrrrrrrrrrrrrrrrr… (200 letters) exceed the cap 5" in err
 
     def test_huge_fibre_refused_in_bounded_time(self, capsys):
-        # the whole count of this fibre takes seconds of big-integer
-        # arithmetic; the refusal needs only its first lower bound past 5
+        # the refusal comes at the first lower bound past 5, 2000 * 1999 at
+        # the first R, before multiplying through the rest of the word
         start = time.perf_counter()
         code, out, err = run(capsys, "invert", "r" * 2000 + "R" * 2000, "--cap", "5")
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err.startswith("error: at least ")
+        assert err.startswith("error: at least 3998000 ")
 
     def test_long_small_fibre_is_fast(self, capsys):
         # n = 20 and 512 permutations: the old candidate-table search took
@@ -502,6 +502,20 @@ class TestPackage:
         exec("from arcdiagrams import *", namespace)
         assert set(arcdiagrams.__all__) <= set(namespace)
         assert namespace["perms_from_word"] is arcdiagrams.inversion.perms_from_word
+
+    def test_python_m_runs_the_cli(self):
+        # python -m on the package and on its cli module, each as run() does
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+
+        def child(*how):
+            argv = [sys.executable, *how, "census", "5"]
+            return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+        expected = child("-c", "from arcdiagrams.cli import run; run()")
+        assert expected.returncode == 0 and "PASS" in expected.stdout
+        for module in ("arcdiagrams", "arcdiagrams.cli"):
+            done = child("-m", module)
+            assert (done.returncode, done.stdout, done.stderr) == (0, expected.stdout, "")
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):

@@ -43,8 +43,8 @@ SEVEN = parse_bdiagram("1 | 2 | 3 | 4 | 5 | 6 | 7")
         (lambda cap: enumerate_generators(SEVEN, cap), 720),
         (lambda cap: complete_table(SEVEN, cap), 720),
         (lambda cap: generators_oracle(SEVEN, cap), 720),
-        # of 8192: the count stops at its first lower bound past the cap
-        (lambda cap: perms_from_word("rrkkkkkkRR", cap), 12),
+        # of 8192: the count stops at its product so far past the cap, 4 * 4
+        (lambda cap: perms_from_word("rrkkkkkkRR", cap), 16),
         (lambda cap: perms_from_word_oracle("rrkkkkkkRR", cap), 362880),
         (lambda cap: census_report(7, cap), 720),
     ],

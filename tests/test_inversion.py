@@ -1,5 +1,7 @@
+import random
 import time
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,12 @@ from arcdiagrams import (
     perms_from_word_oracle,
 )
 from arcdiagrams.inversion import sequence_word
-from conftest import count_perms_reference, elevated_motzkin_words, scan_classes_from_word
+from conftest import (
+    count_perms_reference,
+    elevated_motzkin_words,
+    random_cycle_word,
+    scan_classes_from_word,
+)
 
 MIXED_WORD = "rkrRkR"
 MIXED_PERMS = (
@@ -147,7 +154,7 @@ class TestPermsFromWord:
         with pytest.raises(CapExceeded, match=r"^at least \d+ .* cap 200000$") as info:
             perms_from_word(word, cap=200_000)
         assert time.perf_counter() - start < 1.0
-        assert 200_000 < info.value.requested <= 536_870_912
+        assert info.value.requested == 262_144  # 4 ** 9: nine k at height 2
 
     @pytest.mark.parametrize(
         "word, shown",
@@ -178,8 +185,9 @@ class TestPermsFromWord:
                     assert cap < exc.requested <= count
 
     def test_count_matches_hand_written_rules(self):
-        # the count read off perm.MOVES against the per-letter (k, s) rules:
-        # each count, and each capped refusal's lower bound on the same grid
+        # the product over path heights against the per-letter (k, s) rules:
+        # each count, and on the same grid the same words refused, each with
+        # a lower bound in (cap, count]
         grid = {round(1.5**i) for i in range(23)}
         for word in all_words(12):
             count = count_perms_reference(word)
@@ -188,9 +196,24 @@ class TestPermsFromWord:
                 if cap < count:
                     with pytest.raises(CapExceeded) as ours:
                         count_perms_from_word(word, cap)
-                    with pytest.raises(CapExceeded) as reference:
+                    with pytest.raises(CapExceeded):
                         count_perms_reference(word, cap)
-                    assert ours.value.requested == reference.value.requested
+                    assert cap < ours.value.requested <= count
+                else:
+                    assert count_perms_from_word(word, cap) == count_perms_reference(word, cap)
+
+    def test_count_matches_hand_written_rules_on_long_words(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            word = random_cycle_word(rng, rng.randint(15, 120))
+            assert count_perms_from_word(word) == count_perms_reference(word)
+
+    def test_huge_fibre_counted_fast(self):
+        # r^m R^m: h(h-1) at each R but the last, for h = m down to 2
+        start = time.perf_counter()
+        count = count_perms_from_word("r" * 2000 + "R" * 2000)
+        assert time.perf_counter() - start < 1.0
+        assert count == factorial(2000) * factorial(1999)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_sequence_word_matches_arc_set_route(self, n):
@@ -261,8 +284,6 @@ class TestOracle:
 
     def test_matches_search_sampled_large(self):
         # a few words sampled from the bigger universes
-        import random
-
         rng = random.Random(7)
         for n in (8, 9):
             words = sorted({cycle_word(p) for p in all_cyclic_perms(n)})

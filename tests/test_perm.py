@@ -85,6 +85,10 @@ class TestParse:
         again = parse_perm(str(p))
         assert again is not p and again == p and hash(again) == hash(p)
 
+    def test_list_input_equals_tuple_input(self):
+        p, q = CyclicPerm([1, 3, 2]), CyclicPerm((1, 3, 2))
+        assert p == q and hash(p) == hash(q) and p.seq == (1, 3, 2)
+
     def test_cyclic_indexing(self):
         p = parse_perm("1 3 2")
         assert p.at(1) == p.at(4) == p.at(-2) == 1
@@ -356,6 +360,21 @@ class TestEnumeration:
         for n in range(3, 9):
             perms = list(all_cyclic_perms(n))
             assert perms == [CyclicPerm(p.seq) for p in perms]
+
+
+class TestCycleDiagramValue:
+    def test_set_input_equals_frozenset_input(self):
+        arcs = {(1, 2), (2, 3), (1, 3)}
+        d, e = CycleDiagram(3, arcs), CycleDiagram(3, frozenset(arcs))
+        assert d == e and hash(d) == hash(e) and d.arcs == frozenset(arcs)
+        assert CycleDiagram(3, [[1, 2], [2, 3], [1, 3]]) == d
+
+
+class TestClassificationValue:
+    def test_set_input_equals_frozenset_input(self):
+        c = Classification({1}, {3}, {2})
+        d = Classification(frozenset({1}), frozenset({3}), frozenset({2}))
+        assert c == d and hash(c) == hash(d) and c.K == frozenset({2})
 
 
 class TestUncheckedValues:
