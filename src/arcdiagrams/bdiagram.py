@@ -74,7 +74,7 @@ class BDiagram(_Value):
         n = len(flat)
         if set(flat) != _vertices(n):
             raise NotAPermutation(f"blocks must partition 1..{n}: {brief(blocks)}")
-        if any(len(b) == n for b in blocks):
+        if len(blocks) == 1:
             raise BlockTooLong(f"a block may hold at most {n - 1} of the {n} vertices")
 
     @property
@@ -200,14 +200,12 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     whose sweep state :func:`_feasibility_table` marks completable is
     taken, so the search never backtracks.  Each open vertex knows the
     other open stub of its partial path (``mate``), which makes a
-    candidate's next state an O(1) lookup.
+    candidate's next state an O(1) lookup.  Before the sweep, n letters
+    opening m arcs must leave n - m >= 2 blocks, the components of any
+    forest of n vertices and m arcs, whatever the choices.
     """
     table = _feasibility_table(word, prefix)
-
-    def fits(i: int, t2: int, f: int) -> bool:
-        return t2 <= table[i][min(f, 2)]
-
-    if not fits(0, 0, 0):
+    if len(word) - sum(ARCS[c][0] * word.count(c) for c in ARCS) < 2 or table[0] < 0:
         return None
     # mate[u]: vertex holding the other open stub of u's path -- u itself
     # for a lone r, None when u holds the only open stub of its path
@@ -215,12 +213,11 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     # an entry per open stub, ascending, a lone r twice; a deque, as most go from the front
     pool: deque[int] = deque()
     arcs: list[Arc] = []
-    t2 = f = 0
+    t2 = 0  # open paths holding two stubs
 
-    def after(chosen: tuple[int, ...]) -> tuple[int, int]:
-        """(t2, f) once the stubs at ``chosen`` close on the current vertex."""
-        _, _, grown, finishes = MOVES[letter][sum(mate[u] is not None for u in chosen)]
-        return t2 + grown, f + finishes
+    def after(chosen: tuple[int, ...]) -> int:
+        """t2 once the stubs at ``chosen`` close on the current vertex."""
+        return t2 + MOVES[letter][sum(mate[u] is not None for u in chosen)][2]
 
     for v, letter in enumerate(word, 1):
         opens, closes = ARCS[letter]
@@ -229,14 +226,14 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
                 (u1, u2)
                 for i, u1 in enumerate(pool)
                 # a pair through a two-stub path lands where that path alone does
-                if mate[u1] is None or fits(v, *after((u1,)))
+                if mate[u1] is None or after((u1,)) <= table[v]
                 for u2 in itertools.islice(pool, i + 1, None)
                 if u2 != mate[u1]  # two stubs of one path would close a cycle
             )
         else:
             choices = zip(pool) if closes else [()]
-        chosen = next(c for c in choices if fits(v, *after(c)))
-        t2, f = after(chosen)
+        chosen = next(c for c in choices if after(c) <= table[v])
+        t2 = after(chosen)
         ends = [mate[u] for u in chosen if mate[u] is not None] + [v] * opens
         for u in chosen:
             arcs.append((u, v))
@@ -249,35 +246,34 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     return _blocks_from_arcs(len(word), frozenset(arcs))
 
 
-def _feasibility_table(word: str, prefix: list[int]) -> list[tuple[int, int, int]]:
+def _feasibility_table(word: str, prefix: list[int]) -> list[int]:
     """Which sweep states can still be completed, position by position.
 
     After the first i letters the open arc stubs number the prefix degree
     sum s = ``prefix[i]``; they sit on partial paths holding two stubs (t2
-    of them) or one (s - 2*t2 of them), and f components are finished,
-    counted up to 2.  Paths with equal stub counts are interchangeable, so
-    this state is exact.  ``table[i][f]`` is the largest t2 from which the
-    remaining letters can close every stub without a cycle and leave at
-    least two components, or -1 when none can: every t2 from 0 up to it
-    completes.  That run starts at 0 because cutting a two-stub path into
-    two one-stub paths never blocks a completion: the same remaining arcs
-    close the two halves with no cycle more and no component fewer.  The
-    table is filled backward, one bound per move of ``perm.MOVES``: O(n)
-    in time and space.
+    of them) or one (s - 2*t2 of them).  Paths with equal stub counts are
+    interchangeable, so this state is exact.  ``table[i]`` is the largest
+    t2 from which the remaining letters can close every stub without a
+    cycle, or -1 when none can: every t2 from 0 up to it completes.  That
+    run starts at 0 because cutting a two-stub path into two one-stub paths
+    never blocks a completion: the same remaining arcs close the two halves
+    with no cycle more.  Finished components need no count: with d of them,
+    every completion ends with d + (s - t2) + (n - i) - C_i components, C_i
+    the arcs that letters i+1..n close, whatever is chosen; from the start
+    that is n - m, which :func:`_realize` checks once.  The table is filled
+    backward, one bound per move of ``perm.MOVES``: O(n) in time and space.
     """
-    table = [(-1, -1, -1)] * len(word) + [(-1, -1, 0)]
+    table = [-1] * len(word) + [0]
     for i in reversed(range(len(word))):
-        nxt, s = table[i + 1], prefix[i]
-        row = [-1, -1, -1]
-        for twos, ones, grown, finishes in MOVES[word[i]]:
+        last, s, best = table[i + 1], prefix[i], -1
+        for twos, ones, grown in MOVES[word[i]]:
+            reach = last - grown  # t2 lands on t2 + grown of the next row
             room = (s - ones) // 2  # the most t2 that leaves ``ones`` one-stub paths
-            for f, last in enumerate(nxt[1:] + nxt[2:] if finishes else nxt):
-                reach = last - grown  # t2 lands on t2 + grown of the next row
-                if reach > room:
-                    reach = room
-                if reach >= twos and reach > row[f]:  # the move takes ``twos`` of them
-                    row[f] = reach
-        table[i] = tuple(row)
+            if reach > room:
+                reach = room
+            if reach >= twos and reach > best:  # the move takes ``twos`` of them
+                best = reach
+        table[i] = best
     return table
 
 
@@ -383,7 +379,7 @@ def add_arc(b: BDiagram, arc: Arc) -> BDiagram:
         raise DegreeExceeded("both endpoints must have at most one arc")
     if i == j:
         raise WouldCycle(f"{lo} and {hi} already share a block")
-    if len(b.blocks[i]) + len(b.blocks[j]) == b.n:
+    if b.block_count == 2:
         raise NotRepresentable("the merged block would hold every vertex")
     left, right = b.blocks[i], b.blocks[j]
     merged = _oriented((left if s else left[::-1]) + (right[::-1] if t else right))

@@ -41,11 +41,10 @@ _LETTER = bytes.maketrans(_TALLY, "".join(ARCS).encode())
 #: Moves of a left-to-right sweep over open paths of one or two stubs: a vertex
 #: takes a stub of each of ``closes`` distinct paths, and the path through it keeps
 #: the two-stub ones' other stubs plus its ``opens``.  Per letter, by two-stub paths
-#: taken: (two-stub taken, one-stub taken, change in two-stub paths, finishes one).
+#: taken: (two-stub taken, one-stub taken, change in two-stub paths).
 MOVES = {
     letter: tuple(
-        (twos, closes - twos, (twos + opens == 2) - twos, twos + opens == 0)
-        for twos in range(closes + 1)
+        (twos, closes - twos, (twos + opens == 2) - twos) for twos in range(closes + 1)
     )
     for letter, (opens, closes) in ARCS.items()
 }

@@ -29,7 +29,8 @@ of ``perm.spanning_cycle``.
 fibre count and the realization's feasibility table from before the one
 move table ``perm.MOVES``, with each letter's rule written out by hand; the
 count is a (k open paths, s lone r) dynamic program, not the library's
-product over path heights.
+product over path heights, and the table keeps a column per count of
+finished components, which the library's table no longer tracks.
 ``add_arc_reference`` and ``remove_arc_reference`` keep the b-diagram edits
 from before they read block ends: ``add_arc`` on the arc set and a degree
 count, ``remove_arc`` splicing lists.
@@ -280,10 +281,13 @@ def count_perms_reference(word, cap=None):
 
 
 def feasibility_table_reference(word, prefix):
-    """``bdiagram._feasibility_table`` with one hand-written branch per letter.
+    """The realization's feasibility table with one hand-written branch per
+    letter and a column per count of finished components.
 
     ``table[i][f]`` has bit t2 set when s = ``prefix[i]`` open stubs, t2
-    two-stub paths and f finished components (up to 2) complete.
+    two-stub paths and f finished components (up to 2) complete.  The
+    library's ``bdiagram._feasibility_table`` is its f = 2 column: it checks
+    the count of components once, on the whole word.
     """
     n = len(word)
 

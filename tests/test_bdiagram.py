@@ -41,6 +41,7 @@ from arcdiagrams import (
 from arcdiagrams.bdiagram import _blocks_from_arcs, _feasibility_table
 from arcdiagrams.cli import main
 from conftest import (
+    BLOCK_STEPS,
     add_arc_reference,
     arc_graph_shape,
     arc_subsets,
@@ -167,7 +168,9 @@ class TestValidateBlockWord:
         assert not result.ok and result.reason is InvalidReason.UNREALIZABLE
 
     def test_unrealizable_full_path(self):
-        for word in ("akA", "aA", "e"):
+        # n vertices and m arcs of a forest make n - m components, so a word
+        # that passes every screen with n - m < 2 has no b-diagram
+        for word in ("akA", "aA", "e", "rAA", "a" + "k" * 50 + "A"):
             result = validate_block_word(word)
             assert not result.ok and result.reason is InvalidReason.UNREALIZABLE
 
@@ -280,14 +283,25 @@ class TestRealizationScale:
 
 class TestFeasibilityTable:
     """The bounds read off perm.MOVES against bit masks from one hand-written
-    branch per letter: each mask must be the run of bits 0..bound."""
+    branch per letter that also counts finished components f, up to 2.  Its
+    f = 2 column must be the run of bits 0..bound.  On a balanced word its
+    f = 0 and f = 1 columns must keep, of that run, the t2 that end with at
+    least two components: f + (s - t2) + (n - i) - C_i, where C_i counts the
+    arcs that letters i+1..n close."""
 
     @staticmethod
     def assert_matches(word):
+        n = len(word)
         prefix = list(itertools.accumulate(degree_vector(word), initial=0))
+        closed = [sum(BLOCK_STEPS[c].count(-1) for c in word[i:]) for i in range(n + 1)]
         table = _feasibility_table(word, prefix)
         for i, masks in enumerate(feasibility_table_reference(word, prefix)):
-            assert masks == tuple((1 << bound + 1) - 1 for bound in table[i]), (word, i)
+            assert masks[2] == (1 << table[i] + 1) - 1, (word, i)
+            if prefix[-1]:
+                continue
+            for f in (0, 1):
+                ends = (f + prefix[i] - t2 + n - i - closed[i] for t2 in range(table[i] + 1))
+                assert masks[f] == sum(1 << t2 for t2, c in enumerate(ends) if c >= 2), (word, i, f)
 
     def test_every_short_word(self):
         # every word of 1..6 letters with no negative degree prefix

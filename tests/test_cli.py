@@ -258,6 +258,22 @@ class TestGenerators:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the inversion search recurses once per letter, table completion
+        # once per block; a cap this large lets either run past the stack
+        ("invert", "r" + "rR" * 600 + "R", "--cap", str(10**200)),
+        ("generators", "|".join(map(str, range(1, 1201))), "--list", "--method", "table",
+         "--cap", str(10**4000)),
+    ],
+)
+def test_search_deeper_than_the_stack_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+
+
 class TestDiagramCommands:
     def test_cutset(self, capsys):
         code, out, _ = run(capsys, "cutset", "1 3 2 7 8 4 5 6", "3 1 6 | 2 7 8 | 4 5")

@@ -189,14 +189,14 @@ class TestInflate:
 
 
 # the sweep's moves per letter, by hand: (two-stub paths taken, one-stub
-# paths taken, change in two-stub paths, a component finishes)
+# paths taken, change in two-stub paths)
 LETTER_MOVES = {
-    "r": ((0, 0, 1, False),),
-    "R": ((0, 2, 0, True), (1, 1, -1, False), (2, 0, -1, False)),
-    "k": ((0, 1, 0, False), (1, 0, 0, False)),
-    "a": ((0, 0, 0, False),),
-    "A": ((0, 1, 0, True), (1, 0, -1, False)),
-    "e": ((0, 0, 0, True),),
+    "r": ((0, 0, 1),),
+    "R": ((0, 2, 0), (1, 1, -1), (2, 0, -1)),
+    "k": ((0, 1, 0), (1, 0, 0)),
+    "a": ((0, 0, 0),),
+    "A": ((0, 1, 0), (1, 0, -1)),
+    "e": ((0, 0, 0),),
 }
 
 
