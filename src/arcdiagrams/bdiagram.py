@@ -45,7 +45,6 @@ from .perm import (
     CyclicPerm,
     _Value,
     _int_entries,
-    _vertices,
     arc_set,
     arc_text,
     arc_word,
@@ -72,7 +71,7 @@ class BDiagram(_Value):
             raise EmptyBlock("blocks must be nonempty")
         flat = [v for block in blocks for v in block]
         n = len(flat)
-        if set(flat) != _vertices(n):
+        if set(flat) != set(range(1, n + 1)):
             raise NotAPermutation(f"blocks must partition 1..{n}: {brief(blocks)}")
         if len(blocks) == 1:
             raise BlockTooLong(f"a block may hold at most {n - 1} of the {n} vertices")

@@ -414,10 +414,6 @@ def main(argv=None) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except RecursionError:  # a search recurses once per letter or block
-        depth = sys.getrecursionlimit()
-        print(f"error: input too deep to search within recursion limit {depth}", file=sys.stderr)
-        return 3
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

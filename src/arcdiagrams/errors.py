@@ -5,6 +5,7 @@ parsed at all (exit 1), inputs that parse but break a domain rule (exit 2),
 and guards that refuse oversized computations (exit 3), with their bounds.
 """
 
+import sys
 from math import log10
 
 DEFAULT_CAP = 1_000_000
@@ -169,3 +170,12 @@ def check_scan(n: int, who: str) -> None:
         exc = TooLarge(f"{who} refuses n={brief(n)} > {ORACLE_MAX_N}")
         exc.requested, exc.limit = n, ORACLE_MAX_N
         raise exc
+
+
+def too_deep(depth: int) -> TooLarge:
+    """:class:`TooLarge` for a search of ``depth`` levels that ran past the
+    interpreter's recursion limit, with ``requested`` and ``limit``."""
+    limit = sys.getrecursionlimit()
+    exc = TooLarge(f"input too deep to search within recursion limit {limit}")
+    exc.requested, exc.limit = depth, limit
+    return exc

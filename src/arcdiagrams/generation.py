@@ -23,7 +23,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .bdiagram import BDiagram
-from .errors import DEFAULT_CAP, SizeMismatch, TooSmall, check_cap, check_scan
+from .errors import DEFAULT_CAP, SizeMismatch, TooSmall, check_cap, check_scan, too_deep
 from .perm import (
     Arc,
     CyclicPerm,
@@ -109,6 +109,7 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     ends, and may join the two ends of one path only as the last arc, so
     no cycle closes early; it is applied and undone in place.  Only a pair
     starting at the least open end can still join it, so the loop stops past it.
+    Raises ``TooLarge`` for more blocks than the recursion limit lets it search.
     """
     expected = count_generators(b)
     check_cap(expected, cap, "completions")
@@ -143,7 +144,10 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
             mate[ei], mate[ej] = i, j
             mate[i], mate[j] = ei, ej
 
-    search(0, b.block_count)
+    try:
+        search(0, b.block_count)
+    except RecursionError:  # one level per block
+        raise too_deep(b.block_count) from None
     return sorted_perms(found, expected, f"completions of {b}")
 
 
@@ -185,11 +189,11 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
     except ValueError:  # a vertex meets three arcs, or a cycle misses one
         walks = []
     shared: tuple[CyclicPerm, ...] = ()
-    if len(walks) == 1:
+    if len(walks) == 1:  # a path or cycle through all n >= 3 vertices
         walk = walks[0]
         at = walk.index(1)
-        first = CyclicPerm(walk[at:] + walk[:at])
-        shared = tuple(sorted((first, first.reverse())))
+        walk = walk[at:] + walk[:at]
+        shared = sorted_perms([walk, walk[:1] + walk[:0:-1]], 2, f"cycles through {b}")
     elif walks:
         shared = enumerate_generators(BDiagram(walks))
     return CommonGenerators(

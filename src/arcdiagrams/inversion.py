@@ -19,7 +19,7 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_CAP, brief, check_cap, check_scan
+from .errors import DEFAULT_CAP, brief, check_cap, check_scan, too_deep
 from .perm import Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
 from .words import check_cycle_word, cycle_word
 
@@ -127,8 +127,9 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
     joins two as ``p + (v,) + q`` in every orientation, and the final ``R``
     closes the last.  Every branch ends in a cycle, walked both ways from
     1, so the result is closed under reversal.  Raises ``NotAWord`` for a
-    non-word and ``CapExceeded`` before listing when the count exceeds
-    ``cap``.
+    non-word, ``CapExceeded`` before listing when the count exceeds
+    ``cap``, and ``TooLarge`` for a word too long to sweep within the
+    recursion limit.
 
     The sweep shares nothing with the product of
     :func:`count_perms_from_word`, so :func:`sorted_perms` checking the
@@ -159,7 +160,10 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
                     for q in {paths[j], paths[j][::-1]}:
                         sweep(v + 1, rest + (p + (v,) + q,))
 
-    sweep(1, ())
+    try:
+        sweep(1, ())
+    except RecursionError:  # one level per letter
+        raise too_deep(n) from None
     return sorted_perms(found, total, f"cycles with the word {word}")
 
 

@@ -25,7 +25,7 @@ arc diagram.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from operator import lt
 from typing import Iterable, Iterator
 
@@ -58,7 +58,8 @@ class _Value:
 
     Where the fields are valid by construction, internal code builds the value
     by ``object.__new__`` and ``object.__setattr__`` on each slot, skipping the
-    checks in ``__init__`` (see :func:`all_cyclic_perms` and :func:`arc_set`)."""
+    checks in ``__init__`` (see :func:`all_cyclic_perms`, :func:`sorted_perms`
+    and :func:`arc_set`)."""
 
     __slots__ = ()
 
@@ -177,12 +178,6 @@ def spanning_cycle(n: int, arcs: frozenset[Arc]) -> tuple[int, ...]:
     raise ValueError("arcs do not form a single spanning cycle")
 
 
-@lru_cache(maxsize=8)
-def _vertices(n: int) -> frozenset[int]:
-    """{1..n}, kept for the few sizes in use rather than built per permutation."""
-    return frozenset(range(1, n + 1))
-
-
 @total_ordering
 class CyclicPerm(_Value):
     """A cyclic permutation of {1..n} in one-line form, first entry 1; ordered by ``seq``.
@@ -197,7 +192,7 @@ class CyclicPerm(_Value):
         seq = tuple(seq)
         object.__setattr__(self, "seq", seq)
         n = len(seq)
-        if set(seq) != _vertices(n):  # n entries, so none repeats
+        if set(seq) != set(range(1, n + 1)):  # n entries, so none repeats
             raise NotAPermutation(f"not a permutation of 1..{n}: {brief(seq)}")
         if n < 3:
             raise TooSmall(f"need at least 3 vertices, got {n}")
@@ -225,8 +220,7 @@ class CyclicPerm(_Value):
         >>> str(CyclicPerm((1, 3, 2, 7, 8, 4, 5, 6)).reverse())
         '1 6 5 4 8 7 2 3'
         """
-        n = self.n
-        return CyclicPerm(tuple(self.seq[(n - i) % n] for i in range(n)))
+        return CyclicPerm(self.seq[:1] + self.seq[:0:-1])
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.seq)
@@ -236,12 +230,17 @@ def sorted_perms(found: list, expected: int, what: str) -> tuple[CyclicPerm, ...
     """The listed sequences ``found`` as permutations in lexicographic order.
 
     The shared tail of every listing route: raises ``RuntimeError`` unless
-    ``found`` holds exactly ``expected`` sequences, all distinct.
+    ``found`` holds exactly ``expected`` sequences, all distinct.  Each is a
+    tuple walking from 1 through all n >= 3 vertices, so it skips the checks of
+    ``CyclicPerm.__init__``.
     """
     found = sorted(found)
     if len(found) != expected or not all(map(lt, found, found[1:])):
         raise RuntimeError(f"{what}: {len(found)} listed, not {expected} distinct")
-    return tuple(CyclicPerm(seq) for seq in found)
+    perms = [object.__new__(CyclicPerm) for _ in found]
+    for p, seq in zip(perms, found):  # valid by construction
+        object.__setattr__(p, "seq", seq)
+    return tuple(perms)
 
 
 def parse_perm(text: str) -> CyclicPerm:

@@ -367,6 +367,14 @@ def remove_arc_reference(b, arc):
     raise NotPresent(f"arc ({lo}, {hi}) not in the diagram")
 
 
+def assert_validated_perms(perms):
+    """Each listed value is a ``CyclicPerm`` equal to, and hashing as, its
+    sequence passed through the checks of ``CyclicPerm.__init__``."""
+    for p in perms:
+        validated = CyclicPerm(p.seq)
+        assert type(p) is CyclicPerm and p == validated and hash(p) == hash(validated), p
+
+
 def arc_subsets(n):
     """Every arc subset of the complete graph on 1..n."""
     edges = list(itertools.combinations(range(1, n + 1), 2))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -72,6 +73,24 @@ def test_every_size_guard_reports_both_numbers(guard, message):
         guard()
     assert (info.value.requested, info.value.limit) == (11, ORACLE_MAX_N)
     assert str(info.value) == message and info.value.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "search, depth",
+    [
+        (lambda: perms_from_word("r" + "rR" * 600 + "R", cap=10**200), 1202),
+        (lambda: complete_table(BDiagram([(v,) for v in range(1, 1201)]), cap=10**4000), 1200),
+    ],
+    ids=["perms_from_word", "complete_table"],
+)
+def test_search_past_the_recursion_limit_is_too_large(search, depth):
+    # one level per letter or block: the library's own error, not RecursionError
+    limit = sys.getrecursionlimit()
+    with pytest.raises(TooLarge) as info:
+        search()
+    assert (info.value.requested, info.value.limit) == (depth, limit)
+    assert str(info.value) == f"input too deep to search within recursion limit {limit}"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 def test_size_guard_message_and_exit_code_on_the_command_line(capsys):

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from arcdiagrams import (
+    BDiagram,
     CapExceeded,
     SizeMismatch,
     TooLarge,
@@ -19,7 +21,7 @@ from arcdiagrams import (
     generators_oracle,
     parse_bdiagram,
 )
-from conftest import random_bdiagram, random_cut
+from conftest import assert_validated_perms, random_bdiagram, random_cut
 
 THREE_BLOCKS = "1 2 3 | 4 7 8 | 5 6"
 THREE_BLOCKS_GENERATORS = (
@@ -181,6 +183,15 @@ class TestTripleAgreement:
             assert complete_table(b) == by_blocks
             assert generators_oracle(b) == by_blocks
 
+    def test_listed_values_equal_validated_perms(self):
+        # the routes' walks become permutations without CyclicPerm's checks
+        for n in range(3, 8):
+            for b in all_bdiagrams(n):
+                assert_validated_perms(enumerate_generators(b))
+                assert_validated_perms(complete_table(b))
+                if n <= 6:
+                    assert_validated_perms(generators_oracle(b))
+
     def test_table_random_beyond_n8(self):
         rng = random.Random(2718)
         checked = with_singletons = 0
@@ -251,6 +262,21 @@ class TestCommonGenerators:
             union = b.arcs() | other.arcs()
             expected = tuple(p for p, arcs in universe if union <= arcs)
             assert common_generators(b, other).generators == expected, (b, other)
+
+    def test_one_walk_values_equal_validated_perms(self):
+        # two cuts of p into two paths, sharing at most one cut arc: their
+        # union is one spanning path or p's whole cycle, which only p and its
+        # reverse contain
+        for n in range(3, 7):
+            cuts = list(itertools.combinations(range(n), 2))
+            for p in all_cyclic_perms(n):
+                s = p.seq
+                pieces = [BDiagram((s[i:j], s[j:] + s[:i])) for i, j in cuts]
+                for (cut, b), (other_cut, other) in itertools.product(zip(cuts, pieces), repeat=2):
+                    if len(set(cut) & set(other_cut)) <= 1:
+                        shared = common_generators(b, other).generators
+                        assert shared == tuple(sorted((p, p.reverse()))), (b, other)
+                        assert_validated_perms(shared)
 
     def test_beyond_ten_vertices(self):
         wide = parse_bdiagram("1 7 | 2 8 | 3 9 | 4 10 | 5 11 | 6 12")

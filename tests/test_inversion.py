@@ -23,6 +23,7 @@ from arcdiagrams import (
 )
 from arcdiagrams.inversion import sequence_word
 from conftest import (
+    assert_validated_perms,
     count_perms_reference,
     elevated_motzkin_words,
     random_cycle_word,
@@ -226,6 +227,11 @@ class TestPermsFromWord:
             for p in result:
                 assert cycle_word(p) == word
                 assert p.reverse() in result
+
+    def test_listed_values_equal_validated_perms(self):
+        # the sweep's walks become permutations without CyclicPerm's checks
+        for word in all_words(9):
+            assert_validated_perms(perms_from_word(word))
 
     def test_partition_of_universe(self):
         # distinct words chop the universe into disjoint pieces that cover it
