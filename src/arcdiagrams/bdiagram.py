@@ -409,11 +409,11 @@ def transpose_labels(b: BDiagram, i: int, j: int) -> BDiagram:
 def all_bdiagrams(n: int) -> Iterator[BDiagram]:
     """Every b-diagram on [n], normalized, in a deterministic order.
 
-    Enumerates set partitions of [n] with no part of size n, then all
+    Enumerates set partitions of [n] into at least two parts, then all
     path orderings of each part (orientation fixed small end first).
     """
     for parts in _set_partitions(list(range(1, n + 1))):
-        if any(len(part) == n for part in parts):
+        if len(parts) < 2:
             continue
         choices = [
             [q for q in itertools.permutations(part) if q[0] <= q[-1]]

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from . import bdiagram, generation, inversion
 from .errors import DEFAULT_CAP, DiagramError, TooSmall, brief, check_cap, check_scan
-from .perm import all_cyclic_perms, arc_set, arc_text, classify, parse_perm
+from .perm import all_cyclic_perms, arc_text, letter_sets, parse_perm
 from .words import (
     catalan_number,
     check_cycle_word,
@@ -24,7 +24,6 @@ from .words import (
     inflate,
     motzkin_number,
     step_groups,
-    word_of_classes,
 )
 
 
@@ -201,9 +200,8 @@ def _emit(args, payload: dict, lines: Iterable[str]) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cls = classify(arc_set(parse_perm(args.perm)))
-    word = word_of_classes(cls)
-    classes = {"R": sorted(cls.R), "Rbar": sorted(cls.Rbar), "K": sorted(cls.K)}
+    word = cycle_word(parse_perm(args.perm))
+    classes = dict(zip(("R", "Rbar", "K"), map(sorted, letter_sets(word, "rRk"))))
     lines = [name + ": " + " ".join(map(str, members)) for name, members in classes.items()]
     lines.append("word: " + word)
     return _emit(args, {**classes, "word": word}, lines)

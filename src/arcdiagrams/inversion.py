@@ -5,8 +5,9 @@ enumerating a set, its fibre.  ``count_perms_from_word`` counts it as one
 product over the heights of the word's path, so an over-cap word is
 refused before listing.  ``perms_from_word`` lists it by a sweep of the
 vertices over the open partial paths drawn so far (an ``r`` starts one, a
-``k`` extends one, an ``R`` joins two or closes the cycle), written apart
-from the product and checked against it.
+``k`` extends one, an ``R`` joins two or closes the cycle).  Each move
+fixes its vertex's letter, so no walk is read back; the sweep is written
+apart from the product, and the listing's size is checked against it.
 
 ``perms_from_word_oracle`` is the independent check: it filters the full
 universe of (n-1)! permutations by their word and must agree with the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DEFAULT_CAP, brief, check_cap, check_scan, too_deep
 from .perm import Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
@@ -56,28 +57,6 @@ def neighbor_candidates(cls: Classification) -> dict[int, frozenset[int]]:
                 j for j in larger_side if j > v
             )
     return table
-
-
-def sequence_word(seq: Sequence[int]) -> str:
-    """Word of a cyclic sequence read off its entries' cyclic neighbours.
-
-    Vertex v is ``r`` when it is smaller than both of its neighbours in
-    ``seq``, ``R`` when larger than both, and ``k`` otherwise: the same
-    word ``cycle_word`` reads off the arc set, in one pass and without
-    building the diagram.
-
-    >>> sequence_word((1, 3, 2, 7, 8, 4, 5, 6))
-    'rrRrkRkR'
-    """
-    letters = ["k"] * len(seq)
-    prev, cur = seq[-2], seq[-1]
-    for nxt in seq:
-        if cur < prev and cur < nxt:
-            letters[cur - 1] = "r"
-        elif cur > prev and cur > nxt:
-            letters[cur - 1] = "R"
-        prev, cur = cur, nxt
-    return "".join(letters)
 
 
 def count_perms_from_word(word: str, cap: int | None = None) -> int:
@@ -125,15 +104,18 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
     Sweeps the vertices left to right over the open paths, as walks:
     ``r`` starts ``(v,)``, ``k`` appends v at either end of one walk, ``R``
     joins two as ``p + (v,) + q`` in every orientation, and the final ``R``
-    closes the last.  Every branch ends in a cycle, walked both ways from
-    1, so the result is closed under reversal.  Raises ``NotAWord`` for a
+    closes the last.  Each move fixes its vertex's letter: an ``r``'s
+    neighbours both come later, a ``k`` has one earlier and one later, and
+    an ``R``'s are both earlier.  So every branch ends in a cycle with the
+    word, and no walk is read back.  Each is walked both ways from 1, so
+    the result is closed under reversal.  Raises ``NotAWord`` for a
     non-word, ``CapExceeded`` before listing when the count exceeds
     ``cap``, and ``TooLarge`` for a word too long to sweep within the
     recursion limit.
 
     The sweep shares nothing with the product of
     :func:`count_perms_from_word`, so :func:`sorted_perms` checking the
-    listing's length against that count is a real check.
+    listing's length and distinctness against that count is a real check.
     """
     total = count_perms_from_word(word, cap)
     n = len(word)
@@ -144,8 +126,7 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
             [path] = paths
             at = path.index(1)
             walk = path[at:] + (v,) + path[:at]
-            if sequence_word(walk) == word:
-                found.extend((walk, walk[:1] + walk[:0:-1]))
+            found.extend((walk, walk[:1] + walk[:0:-1]))
         elif word[v - 1] == "r":
             sweep(v + 1, paths + ((v,),))
         elif word[v - 1] == "k":

@@ -581,6 +581,8 @@ class TestEdits:
 
 class TestEnumerateAll:
     def test_counts(self):
+        for n in (-1, 0, 1):  # fewer than two vertices allow no two blocks
+            assert sum(1 for _ in all_bdiagrams(n)) == 0
         assert sum(1 for _ in all_bdiagrams(2)) == 1
         assert sum(1 for _ in all_bdiagrams(3)) == 4
         assert sum(1 for _ in all_bdiagrams(4)) == 22

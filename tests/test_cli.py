@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcdiagrams
-from arcdiagrams import block_word, canonical_generator, parse_bdiagram, parse_perm
+from arcdiagrams import (
+    all_cyclic_perms,
+    arc_set,
+    block_word,
+    canonical_generator,
+    classify,
+    cycle_word,
+    parse_bdiagram,
+    parse_perm,
+)
 from arcdiagrams.cli import census_report, main, render_ascii, render_svg
 from conftest import (
     census_grouping_oracle,
@@ -71,6 +80,20 @@ class TestClassify:
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "classify", "1 2 2 3")
         assert code == 1 and "error:" in err
+
+    def test_json_matches_library_classify(self, capsys):
+        # the subcommand reads its classes off the word, not through classify
+        for n in range(3, 8):
+            for p in all_cyclic_perms(n):
+                code, out, _ = run(capsys, "classify", "--json", str(p))
+                cls = classify(arc_set(p))
+                assert code == 0
+                assert json.loads(out) == {
+                    "R": sorted(cls.R),
+                    "Rbar": sorted(cls.Rbar),
+                    "K": sorted(cls.K),
+                    "word": cycle_word(p),
+                }
 
 
 class TestInvert:

@@ -21,13 +21,13 @@ from arcdiagrams import (
     perms_from_word,
     perms_from_word_oracle,
 )
-from arcdiagrams.inversion import sequence_word
 from conftest import (
     assert_validated_perms,
     count_perms_reference,
     elevated_motzkin_words,
     random_cycle_word,
     scan_classes_from_word,
+    value_class_word,
 )
 
 MIXED_WORD = "rkrRkR"
@@ -91,9 +91,9 @@ def outcome(read, word):
         return type(exc).__name__, str(exc)
 
 
-def all_words(max_n):
-    """Every word of a cycle diagram with 3..max_n letters."""
-    for n in range(3, max_n + 1):
+def all_words(max_n, min_n=3):
+    """Every word of a cycle diagram with min_n..max_n letters."""
+    for n in range(min_n, max_n + 1):
         for inner in product("rRk", repeat=n - 2):
             word = "r" + "".join(inner) + "R"
             if outcome(check_cycle_word, word)[0] == "ok":
@@ -216,11 +216,6 @@ class TestPermsFromWord:
         assert time.perf_counter() - start < 1.0
         assert count == factorial(2000) * factorial(1999)
 
-    @pytest.mark.parametrize("n", range(3, 9))
-    def test_sequence_word_matches_arc_set_route(self, n):
-        for p in all_cyclic_perms(n):
-            assert sequence_word(p.seq) == cycle_word(p)
-
     def test_sound_and_reverse_closed(self):
         for word in (MIXED_WORD, DYCK_WORD, "rrkkRR"):
             result = perms_from_word(word)
@@ -246,12 +241,17 @@ class TestPermsFromWord:
 class TestCount:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_every_fibre_against_universe(self, n):
-        fibres = {}
+        # both directions, against words read off the sequence by neighbour
+        # comparisons: every word lists its group of the universe, and every
+        # group is some word's listing
+        groups = {}
         for p in all_cyclic_perms(n):
-            fibres.setdefault(cycle_word(p), []).append(p)
-        for word, fibre in fibres.items():
-            assert tuple(sorted(fibre)) == perms_from_word(word)
-            assert len(fibre) == count_perms_from_word(word)
+            groups.setdefault(value_class_word(p.seq), []).append(p)
+        for word in all_words(n, min_n=n):
+            group = tuple(groups.pop(word))
+            assert perms_from_word(word) == group
+            assert len(group) == count_perms_from_word(word)
+        assert not groups
 
     @settings(derandomize=True, deadline=None)
     @given(elevated_motzkin_words(13))
