@@ -332,18 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arcdiagrams",
         description="Arc diagrams of cyclic permutations and acyclic block diagrams.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_CAP,
-        help="refuse enumerations larger than this",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *operands):
-        s = sub.add_parser(name, parents=[common], help=help)
+        s = sub.add_parser(name, help=help)
+        s.add_argument("--json", action="store_true", help="emit JSON")
+        s.add_argument(
+            "--cap", type=int, default=DEFAULT_CAP, help="refuse enumerations larger than this"
+        )
         for operand in operands:
             s.add_argument(operand)
         s.set_defaults(func=func)

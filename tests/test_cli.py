@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -22,7 +23,8 @@ from arcdiagrams import (
     parse_bdiagram,
     parse_perm,
 )
-from arcdiagrams.cli import census_report, main, render_ascii, render_svg
+from arcdiagrams.cli import build_parser, census_report, main, render_ascii, render_svg
+from arcdiagrams.errors import DEFAULT_CAP
 from conftest import (
     census_grouping_oracle,
     elevated_motzkin_words,
@@ -635,6 +637,36 @@ class TestUsage:
 
     def test_missing_argument(self, capsys):
         assert main(["classify"]) == 1
+
+    def test_common_flags(self, capsys):
+        # every subcommand takes --json and --cap, listed ahead of its own flags; whole help
+        # texts are not compared, as argparse's layout differs between Python versions
+        subcommands = {
+            "classify": (("1 3 2",), ()),
+            "invert": (("rkR",), ("--all", "--canonical-half", "--oracle")),
+            "bword": (("1 | 2",), ()),
+            "validate-word": (("rkR",), ()),
+            "generators": (("1 | 2",), ("--count", "--list", "--method")),
+            "cutset": (("1 3 2", "1 2 3"), ()),
+            "complement": (("1 3 2", "1 2 3"), ()),
+            "crossing": (("1 2",), ()),
+            "inflate": (("rkR",), ()),
+            "edit": (("add", "1 | 2", "1", "2"), ()),
+            "render": (("rkR",), ("--kind", "--format")),
+            "census": (("3",), ()),
+        }
+        assert main(["--help"]) == 0
+        listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+        assert sorted(listed.split(",")) == sorted(subcommands)
+        parser = build_parser()
+        for name, (operands, own) in subcommands.items():
+            args = parser.parse_args([name, *operands])
+            assert (args.json, args.cap) == (False, DEFAULT_CAP), name
+            assert parser.parse_args([name, *operands, "--cap", "5"]).cap == 5, name
+            assert main([name, "--help"]) == 0
+            help_text = capsys.readouterr().out
+            flags = re.findall(r"^  (?:-h, )?(--[\w-]+)", help_text, re.MULTILINE)
+            assert flags == ["--help", "--json", "--cap", *own], name
 
 
 FUZZ_TOKENS = {
