@@ -10,9 +10,9 @@ any subset of the non-singleton blocks.
 Three routes compute the same set and are kept deliberately separate so
 they can cross-check each other: direct arrangement of blocks
 (:func:`enumerate_generators`), completion of the missing arcs by
-backtracking over one list of path-end pointers, changed and restored in
-place (:func:`complete_table`), and a brute-force filter of the whole
-universe (:func:`generators_oracle`).
+backtracking from the least open path end over one list of path-end
+pointers, changed and restored in place (:func:`complete_table`), and a
+brute-force filter of the whole universe (:func:`generators_oracle`).
 """
 
 from __future__ import annotations
@@ -102,13 +102,14 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     The diagram provides n - m arcs; every way of adding m more arcs so
     that each vertex meets exactly two and the result is a single
     spanning cycle is a generator diagram, contributing that cycle's two
-    traversals.  New arcs are tried in increasing order so each completion
+    traversals.  New arcs are added in increasing order so each completion
     is visited once.  The search keeps one list of path-end pointers:
     ``mate[v]`` is the other end of the path ending at v (v itself when v
     is isolated) and ``None`` once v meets two arcs.  An arc may join two
     ends, and may join the two ends of one path only as the last arc, so
-    no cycle closes early; it is applied and undone in place.  Only a pair
-    starting at the least open end can still join it, so the loop stops past it.
+    no cycle closes early; it is applied and undone in place.  Every open
+    end still needs an arc, so each step joins the least open end i to an
+    open end j after it, and past the last arc's partner if i took it too.
     Raises ``TooLarge`` for more blocks than the recursion limit lets it search.
     """
     expected = count_generators(b)
@@ -119,33 +120,31 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     for block in b.blocks:
         mate[block[0]], mate[block[-1]] = block[-1], block[0]
     ends = [v for v in range(1, n + 1) if mate[v] is not None]
-    candidates = list(itertools.combinations(ends, 2))
     added: list[Arc] = []
     found: list[tuple[int, ...]] = []
 
-    def search(start: int, left: int) -> None:
+    def search(left: int) -> None:
         if not left:
             walk = spanning_cycle(n, have.union(added))
             found.extend((walk, walk[:1] + walk[:0:-1]))
             return
-        low = next(v for v in ends if mate[v] is not None)
-        for idx in range(start, len(candidates)):
-            i, j = candidates[idx]
-            if i > low:
-                break
-            ei, ej = mate[i], mate[j]
-            if ei is None or ej is None or (ei == j) != (left == 1):
+        i = next(v for v in ends if mate[v] is not None)
+        ei = mate[i]
+        after = added[-1][1] if added and added[-1][0] == i else i
+        for j in ends:
+            ej = mate[j]
+            if j <= after or ej is None or (ei == j) != (left == 1):
                 continue
             mate[i] = mate[j] = None
             mate[ei], mate[ej] = ej, ei
             added.append((i, j))
-            search(idx + 1, left - 1)
+            search(left - 1)
             added.pop()
             mate[ei], mate[ej] = i, j
             mate[i], mate[j] = ei, ej
 
     try:
-        search(0, b.block_count)
+        search(b.block_count)
     except RecursionError:  # one level per block
         raise too_deep(b.block_count) from None
     return sorted_perms(found, expected, f"completions of {b}")

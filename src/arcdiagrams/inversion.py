@@ -151,14 +151,13 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
 def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """Brute force: filter the whole universe by word equality.
 
-    Refuses n above 10, and raises ``CapExceeded`` before the scan when the
-    (n-1)! permutations to scan exceed ``cap``.
+    Raises ``NotAWord`` for a non-word, as the sweep does, refuses n above
+    10, and raises ``CapExceeded`` when the (n-1)! to scan exceed ``cap``.
     """
+    check_cycle_word(word)
     n = len(word)
     check_scan(n, "oracle")
-    # below 3 vertices there is no universe; all_cyclic_perms refuses it
-    if n >= 3:
-        check_cap(factorial(n - 1), cap, "permutations to scan")
+    check_cap(factorial(n - 1), cap, "permutations to scan")
     return tuple(p for p in all_cyclic_perms(n) if cycle_word(p) == word)
 
 

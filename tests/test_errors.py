@@ -64,7 +64,7 @@ def test_every_cap_site_reports_both_numbers(guard, requested):
         (lambda: census_report(11), "census refuses n=11 > 10"),
         (lambda: generators_oracle(BDiagram(((1, 2), *((v,) for v in range(3, 12))))),
          "oracle refuses n=11 > 10"),
-        (lambda: perms_from_word_oracle("r" * 11), "oracle refuses n=11 > 10"),
+        (lambda: perms_from_word_oracle("rkkkkkkkkkR"), "oracle refuses n=11 > 10"),
     ],
     ids=["census", "generators-oracle", "invert-oracle"],
 )
@@ -96,8 +96,17 @@ def test_search_past_the_recursion_limit_is_too_large(search, depth):
 def test_size_guard_message_and_exit_code_on_the_command_line(capsys):
     assert main(["census", "11"]) == 3
     assert capsys.readouterr() == ("", "error: census refuses n=11 > 10\n")
-    assert main(["invert", "r" * 11, "--oracle"]) == 3
+    assert main(["invert", "rkkkkkkkkkR", "--oracle"]) == 3
     assert capsys.readouterr() == ("", "error: oracle refuses n=11 > 10\n")
+
+
+@pytest.mark.parametrize("word", ["xyzxyzxyzxyz", "r" * 11, "rR", "xyz"])
+def test_oracle_flag_leaves_a_non_word_a_parse_error(capsys, word):
+    # the word is checked before the oracle's size guard
+    assert main(["invert", word]) == 1
+    plain = capsys.readouterr()
+    assert main(["invert", word, "--oracle"]) == 1
+    assert capsys.readouterr() == plain and plain.err.startswith("error:")
 
 
 def test_huge_count_is_stated_by_digits():

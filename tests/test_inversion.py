@@ -302,7 +302,15 @@ class TestOracle:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            perms_from_word_oracle("r" * 11)
+            perms_from_word_oracle("rkkkkkkkkkR")
+
+    @pytest.mark.parametrize("word", ["xyzxyzxyzxyz", "r" * 11, "rR", "xyz", "r", ""])
+    def test_non_word_is_not_a_word(self, word):
+        # the same error as the sweep, before any size guard
+        with pytest.raises(NotAWord):
+            perms_from_word(word)
+        with pytest.raises(NotAWord):
+            perms_from_word_oracle(word)
 
     def test_cap(self):
         # 9! permutations to scan; refused before the scan
