@@ -196,12 +196,15 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     Scans vertices left to right; at each vertex the arcs ending there are
     matched to open stubs, smallest candidates first, skipping matches
     that would duplicate a vertex pair or close a cycle.  The first match
-    whose sweep state :func:`_feasibility_table` marks completable is
-    taken, so the search never backtracks.  Each open vertex knows the
-    other open stub of its partial path (``mate``), which makes a
-    candidate's next state an O(1) lookup.  Before the sweep, n letters
-    opening m arcs must leave n - m >= 2 blocks, the components of any
-    forest of n vertices and m arcs, whatever the choices.
+    keeping t2, the open two-stub paths, within :func:`_feasibility_table`'s
+    bound is taken, so the search never backtracks.  One check per letter
+    finds it: a closing move of ``perm.MOVES`` keeps t2 or lowers it by
+    one, and t2 is at most one above the bound, as no table row is more
+    than one above the next; so a match fits exactly when t2 is within
+    the bound or it takes a stub of a two-stub path.  Each open vertex
+    knows the other open stub of its path (``mate``).  Before the sweep,
+    n letters opening m arcs must leave n - m >= 2 blocks, the components
+    of any forest of n vertices and m arcs, whatever the choices.
     """
     table = _feasibility_table(word, prefix)
     if len(word) - sum(ARCS[c][0] * word.count(c) for c in ARCS) < 2 or table[0] < 0:
@@ -213,26 +216,21 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     pool: deque[int] = deque()
     arcs: list[Arc] = []
     t2 = 0  # open paths holding two stubs
-
-    def after(chosen: tuple[int, ...]) -> int:
-        """t2 once the stubs at ``chosen`` close on the current vertex."""
-        return t2 + MOVES[letter][sum(mate[u] is not None for u in chosen)][2]
-
     for v, letter in enumerate(word, 1):
         opens, closes = ARCS[letter]
-        if closes == 2:
-            choices = (
+        shed = t2 > table[v]  # a stub of a two-stub path must close here
+        chosen = ()
+        if closes == 1:
+            chosen = next((u,) for u in pool if not shed or mate[u] is not None)
+        elif closes:
+            chosen = next(
                 (u1, u2)
                 for i, u1 in enumerate(pool)
-                # a pair through a two-stub path lands where that path alone does
-                if mate[u1] is None or after((u1,)) <= table[v]
                 for u2 in itertools.islice(pool, i + 1, None)
-                if u2 != mate[u1]  # two stubs of one path would close a cycle
+                # two stubs of one path would close a cycle
+                if u2 != mate[u1] and (not shed or mate[u1] is not None or mate[u2] is not None)
             )
-        else:
-            choices = zip(pool) if closes else [()]
-        chosen = next(c for c in choices if after(c) <= table[v])
-        t2 = after(chosen)
+        t2 += MOVES[letter][sum(mate[u] is not None for u in chosen)][2]
         ends = [mate[u] for u in chosen if mate[u] is not None] + [v] * opens
         for u in chosen:
             arcs.append((u, v))
@@ -261,6 +259,7 @@ def _feasibility_table(word: str, prefix: list[int]) -> list[int]:
     the arcs that letters i+1..n close, whatever is chosen; from the start
     that is n - m, which :func:`_realize` checks once.  The table is filled
     backward, one bound per move of ``perm.MOVES``: O(n) in time and space.
+    The sweep reads only whether its t2 exceeds ``table[i]``.
     """
     table = [-1] * len(word) + [0]
     for i in reversed(range(len(word))):

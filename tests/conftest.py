@@ -31,6 +31,8 @@ move table ``perm.MOVES``, with each letter's rule written out by hand; the
 count is a (k open paths, s lone r) dynamic program, not the library's
 product over path heights, and the table keeps a column per count of
 finished components, which the library's table no longer tracks.
+``first_realization_reference`` finds the witness ``validate_block_word``
+must return by a plain backtracking search, with no feasibility table.
 ``add_arc_reference`` and ``remove_arc_reference`` keep the b-diagram edits
 from before they read block ends: ``add_arc`` on the arc set and a degree
 count, ``remove_arc`` splicing lists.
@@ -315,6 +317,43 @@ def feasibility_table_reference(word, prefix):
             row.append(bits & upto(s // 2))
         table[i] = tuple(row)
     return table
+
+
+def first_realization_reference(word):
+    """Arcs of the first b-diagram realizing ``word`` that backtracking finds, or None.
+
+    Vertices are matched left to right.  A closing arc tries the open stubs
+    in ascending order, a lone ``r`` listed twice; an ``R`` tries pairs of
+    stubs in lexicographic order, skipping two stubs of one path.  As in the
+    library, n letters opening m arcs must leave n - m >= 2 blocks.
+    """
+    n = len(word)
+    if n - sum(BLOCK_STEPS[c].count(1) for c in word) < 2:
+        return None
+
+    def find(root, u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    def search(v, stubs, root, arcs):
+        if v > n:
+            return None if stubs else frozenset(arcs)
+        steps = BLOCK_STEPS[word[v - 1]]
+        for picks in itertools.combinations(range(len(stubs)), steps.count(-1)):
+            taken = [stubs[i] for i in picks]
+            if len({find(root, u) for u in taken}) < len(taken):
+                continue  # two stubs of one path would close a cycle
+            joined = list(root)
+            for u in taken:
+                joined[find(joined, u)] = v
+            rest = [u for i, u in enumerate(stubs) if i not in picks] + [v] * steps.count(1)
+            found = search(v + 1, rest, joined, arcs + [(u, v) for u in taken])
+            if found is not None:
+                return found
+        return None
+
+    return search(1, [], list(range(n + 1)), [])
 
 
 def _small_end_first(block):

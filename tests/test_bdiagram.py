@@ -51,6 +51,7 @@ from conftest import (
     crossing_chain_dp,
     crossing_patience_reference,
     feasibility_table_reference,
+    first_realization_reference,
     generated_bdiagrams,
     random_bdiagram,
     remove_arc_reference,
@@ -212,6 +213,25 @@ class TestValidateBlockWord:
             else:
                 reason = block_word_screen(word) or InvalidReason.UNREALIZABLE
                 assert result.reason is reason, word
+
+    def test_witness_is_first_realization(self):
+        # the sweep takes the match a plain backtracking search takes first; the
+        # random words, n = 8..13, are needed, as a rule taking other R pairs can
+        # agree on every word of up to 7 letters
+        rng = random.Random(29)
+        short = (
+            "".join(letters)
+            for n in range(1, 8)
+            for letters in itertools.product("aAekrR", repeat=n)
+        )
+        drawn = (block_word(random_bdiagram(rng, rng.randint(8, 13))) for _ in range(2000))
+        checked = 0
+        for word in itertools.chain(short, drawn):
+            result = validate_block_word(word)
+            if result.ok:
+                assert result.witness.arcs() == first_realization_reference(word), word
+                checked += 1
+        assert checked == 4125 + 2000
 
 
 # reads one word a line; prints the seconds each takes, then the peak RSS
