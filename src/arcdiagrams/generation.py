@@ -12,27 +12,18 @@ they can cross-check each other: direct arrangement of blocks
 (:func:`enumerate_generators`), completion of the missing arcs by
 backtracking from the least open path end over one list of path-end
 pointers, changed and restored in place (:func:`complete_table`), and a
-brute-force filter of the whole universe (:func:`generators_oracle`).
+brute-force scan of the (n-1)! sequences from 1 (:func:`generators_oracle`).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
 from .bdiagram import BDiagram
 from .errors import DEFAULT_CAP, SizeMismatch, TooSmall, check_cap, check_scan, too_deep
-from .perm import (
-    Arc,
-    CyclicPerm,
-    all_cyclic_perms,
-    arc_set,
-    sorted_perms,
-    spanning_cycle,
-    trace_paths,
-)
+from .perm import Arc, CyclicPerm, sorted_perms, spanning_cycle, trace_paths
 
 
 def canonical_generator(b: BDiagram) -> CyclicPerm:
@@ -80,20 +71,27 @@ def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
     return sorted_perms(found, expected, f"arrangements of {b}")
 
 
-@lru_cache(maxsize=8)
-def _arc_universe(n: int) -> tuple[tuple[CyclicPerm, frozenset[Arc]], ...]:
-    return tuple((p, arc_set(p).arcs) for p in all_cyclic_perms(n))
-
-
 def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
-    """Brute force: filter every cyclic permutation by arc containment."""
+    """Brute force: every cyclic permutation in which each arc's ends are adjacent.
+
+    Scans the (n-1)! sequences ``(1,) + rest`` in lexicographic order, stops
+    checking one at its first arc whose ends lie apart, and builds a checked
+    ``CyclicPerm`` for each one kept; nothing is kept between calls.
+    """
     n = b.n
     check_scan(n, "oracle")
     check_cap(count_generators(b), cap, "generators")
-    target = b.arcs()
-    if n <= 8:
-        return tuple(p for p, arcs in _arc_universe(n) if target <= arcs)
-    return tuple(p for p in all_cyclic_perms(n) if target <= arc_set(p).arcs)
+    arcs = b.arcs()
+    found = []
+    for rest in itertools.permutations(range(2, n + 1)):
+        seq = (1,) + rest
+        for u, v in arcs:
+            at = seq.index(u)
+            if seq[at - 1] != v != seq[at + 1 - n]:  # v is on neither side of u
+                break
+        else:
+            found.append(CyclicPerm(seq))
+    return tuple(found)
 
 
 def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:

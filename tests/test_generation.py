@@ -135,9 +135,14 @@ class TestOracle:
     def test_48(self):
         assert len(generators_oracle(parse_bdiagram("1 6 | 2 3 | 4 8 7 | 5"))) == 48
 
-    def test_rescan_past_the_cached_universe(self):
-        # n = 9 skips the cached arc sets and rescans all 8! permutations
-        b = parse_bdiagram("1 2 3 4 5 6 7 | 8 | 9")
+    @pytest.mark.parametrize(
+        "blocks",
+        ["1 2 3 4 5 6 7 | 8 | 9", "1 2 3 4 5 6 7 8 | 9 | 10"],
+        ids=["n9", "n10"],
+    )
+    def test_scan(self, blocks):
+        # all (n-1)! sequences from 1, up to n = 10, the largest the oracle takes
+        b = parse_bdiagram(blocks)
         found = generators_oracle(b)
         assert len(found) == count_generators(b) == 4
         assert found == enumerate_generators(b) == complete_table(b)
