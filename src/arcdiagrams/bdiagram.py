@@ -25,6 +25,7 @@ from collections import deque
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
+from . import words
 from .errors import (
     AlreadyPresent,
     BlockTooLong,
@@ -51,7 +52,6 @@ from .perm import (
     letter_sets,
     trace_paths,
 )
-from .words import degree_vector
 
 
 def _oriented(block: tuple[int, ...]) -> tuple[int, ...]:
@@ -173,7 +173,7 @@ def validate_block_word(word: str) -> WordCheck:
     realizability and produces a canonical witness (see :func:`_realize`).
     """
     # prefix[i]: arcs left open by the first i letters
-    prefix = list(itertools.accumulate(degree_vector(word), initial=0))
+    prefix = list(itertools.accumulate(words.degree_vector(word), initial=0))
     if min(prefix[1:-1], default=0) < 0:
         return WordCheck(False, reason=InvalidReason.NEGATIVE_PREFIX)
     if prefix[-1] != 0:

@@ -7,24 +7,15 @@ broken pipe), 2 domain rule violated, 3 size guard tripped.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import accumulate, chain
 from math import factorial
 from typing import Iterable, NamedTuple
 
-from . import bdiagram, generation, inversion
+from . import bdiagram, generation, inversion, words
 from .errors import DEFAULT_CAP, DiagramError, TooSmall, brief, check_cap, check_scan
 from .perm import all_cyclic_perms, arc_text, letter_sets, parse_perm
-from .words import (
-    catalan_number,
-    check_cycle_word,
-    cycle_word,
-    inflate,
-    motzkin_number,
-    step_groups,
-)
 
 
 # ---------------------------------------------------------------- rendering
@@ -37,7 +28,7 @@ def _layout(word: str, dialect: str) -> tuple[list[int], list[int], list[int], l
     end height and the last column the width, so letter i spans columns
     ``starts[i]`` up to ``starts[i + 1]``.
     """
-    groups = step_groups(word, dialect)
+    groups = words.step_groups(word, dialect)
     steps = [dy for group in groups for dy in group]
     heights = list(accumulate(steps, initial=0))
     starts = list(accumulate(map(len, groups), initial=0))
@@ -140,6 +131,7 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
     # first of them]; the enumeration is lexicographic, so the first is the least
     tallies: dict[str, list] = {}
     count = 0
+    cycle_word = words.cycle_word  # one lookup, not one per permutation
     for p in all_cyclic_perms(n):
         count += 1
         word = cycle_word(p)
@@ -158,12 +150,12 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
         for word, (expected, off, first) in sorted(tallies.items())
         if off
     ]
-    dyck_expected = catalan_number((n - 2) // 2) if n % 2 == 0 else 0
+    dyck_expected = words.catalan_number((n - 2) // 2) if n % 2 == 0 else 0
     return CensusReport(
         n=n,
         perm_count=count,
         word_count=len(tallies),
-        motzkin_expected=motzkin_number(n - 2),
+        motzkin_expected=words.motzkin_number(n - 2),
         dyck_count=sum(1 for w in tallies if "k" not in w),
         dyck_expected=dyck_expected,
         split_exceptions=tuple(exceptions),
@@ -193,6 +185,8 @@ def _emit(args, payload: dict, lines: Iterable[str]) -> int:
     # ``lines`` may be lazy: it is consumed only when printed as text; the
     # payload's only non-JSON values are CyclicPerms, written as their seq
     if args.json:
+        import json  # here, so that a text command never loads it
+
         print(json.dumps(payload, default=lambda perm: perm.seq))
     else:
         sys.stdout.writelines(f"{line}\n" for line in lines)
@@ -200,7 +194,7 @@ def _emit(args, payload: dict, lines: Iterable[str]) -> int:
 
 
 def _cmd_classify(args) -> int:
-    word = cycle_word(parse_perm(args.perm))
+    word = words.cycle_word(parse_perm(args.perm))
     classes = dict(zip(("R", "Rbar", "K"), map(sorted, letter_sets(word, "rRk"))))
     lines = [name + ": " + " ".join(map(str, members)) for name, members in classes.items()]
     lines.append("word: " + word)
@@ -271,7 +265,7 @@ def _cmd_crossing(args) -> int:
 
 
 def _cmd_inflate(args) -> int:
-    word = inflate(args.word)
+    word = words.inflate(args.word)
     return _emit(args, {"word": word}, [word])
 
 
@@ -288,10 +282,10 @@ def _cmd_edit(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.kind == "perm":
-        word = cycle_word(parse_perm(args.input))
+        word = words.cycle_word(parse_perm(args.input))
         dialect = "cycle"
     elif args.kind == "word":
-        check_cycle_word(args.input)
+        words.check_cycle_word(args.input)
         word = args.input
         dialect = "cycle"
     else:
@@ -414,15 +408,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The console script: ``main`` on ``sys.argv``, then ``os._exit`` once
+    stdout and stderr are flushed. That skips the interpreter's teardown, and
+    ``atexit`` handlers with it; in-process callers use :func:`main`."""
     try:
         code = main(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left (``... | head -1``); point stdout at /dev/null so
-        # the interpreter's final flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader left (``... | head -1``)
         code = 1
-    raise SystemExit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

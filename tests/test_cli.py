@@ -457,8 +457,9 @@ class TestCensus:
 REPO = Path(__file__).resolve().parents[1]
 SUBMODULES = ("bdiagram", "errors", "generation", "inversion", "perm", "words")
 
-# run a command in a fresh interpreter, then name the submodules whose body ran:
-# one not yet used is still a lazy module, of a subclass of ModuleType
+# run a command in a fresh interpreter, then name the submodules whose body ran
+# (one not yet used is still a lazy module, of a subclass of ModuleType) and
+# json, if it was imported
 RAN = """
 import io, sys, types
 from contextlib import redirect_stdout
@@ -467,6 +468,7 @@ if sys.argv[1:]:
     with redirect_stdout(io.StringIO()):
         arcdiagrams.cli.main(sys.argv[1:])
 print(*(m for m in %r if type(sys.modules["arcdiagrams." + m]) is types.ModuleType))
+print(*{"json"} & set(sys.modules))
 """ % (SUBMODULES,)
 
 
@@ -491,16 +493,18 @@ class TestStartup:
     @pytest.mark.parametrize(
         "argv, ran",
         [
-            ((), ()),
-            (("census", "5"), ()),
-            (("invert", "rkR"), ("inversion",)),
+            ((), ()),  # the import alone
+            (("census", "5"), ("words",)),
+            (("invert", "rkR"), ("inversion", "words")),
             (("crossing", "1 3 | 2"), ("bdiagram",)),
             (("generators", "1 2 | 3"), ("bdiagram", "generation")),
+            (("validate-word", "rarARAA"), ("bdiagram", "words")),
+            (("crossing", "1 3 | 2", "--json"), ("bdiagram", "json")),
         ],
     )
     def test_each_command_runs_only_its_modules(self, argv, ran):
-        # every command uses errors, perm and words; the rest run on demand
-        assert python(RAN, *argv) == sorted({"errors", "perm", "words", *ran})
+        # every command uses errors and perm; the rest, json included, on demand
+        assert set(python(RAN, *argv)) == {"errors", "perm", *ran}
 
     def test_tracer_restores_functions_of_modules_loaded_under_it(self):
         # the tracer loads bdiagram, generation and inversion as it scans
@@ -585,6 +589,60 @@ class TestBrokenPipe:
         assert proc.wait(timeout=60) in (0, 1, 2, 3)
         assert first == b"1 3 4 5 6 7 8 9 10 11 2 12\n"
         assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "how",
+    [("-c", "from arcdiagrams.cli import run; run()"), ("-m", "arcdiagrams"),
+     ("-m", "arcdiagrams.cli")],
+    ids=["run", "package", "cli-module"],
+)
+class TestFastExit:
+    # run() ends by os._exit, which flushes no buffer: everything a command
+    # writes must reach a reader on the other end of a pipe before that
+
+    @staticmethod
+    def child(how, *argv):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), COLUMNS="80")
+        argv = [sys.executable, *how, *argv]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    def test_long_listing(self, how):
+        done = self.child(how, "invert", "rrkkkkkkkkRR")
+        lines = done.stdout.splitlines()
+        assert (done.returncode, done.stderr, len(lines)) == (0, "", 131_072)
+        assert done.stdout.endswith("\n1 12 10 9 8 7 6 5 4 3 2 11\n")
+
+    def test_long_json(self, how):
+        done = self.child(how, "invert", "rrkkkkkkkkRR", "--json")
+        assert (done.returncode, done.stderr) == (0, "")
+        perms = json.loads(done.stdout)["perms"]
+        assert len(perms) == 131_072 and perms[-1] == [1, 12, 10, 9, 8, 7, 6, 5, 4, 3, 2, 11]
+
+    @pytest.mark.parametrize(
+        "code, argv, err",
+        [
+            (2, ("edit", "add", "1 2 | 3", "2", "3"), "the merged block would hold every vertex"),
+            (3, ("census", "11"), "census refuses n=11 > 10"),
+        ],
+        ids=["domain", "size-guard"],
+    )
+    def test_error_line(self, how, code, argv, err):
+        done = self.child(how, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", f"error: {err}\n")
+
+    def test_usage_error(self, how):
+        done = self.child(how, "classify")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "usage: arcdiagrams classify [-h] [--json] [--cap CAP] perm\n"
+            "arcdiagrams classify: error: the following arguments are required: perm\n"
+        )
+
+    def test_help(self, how, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        done = self.child(how, "--help")
+        assert (done.returncode, done.stdout, done.stderr) == (0, build_parser().format_help(), "")
 
 
 BIG = "9" * 130_000
