@@ -7,7 +7,7 @@ ramphoid/keratoid classes and the three-letter word.
 """
 
 from arcdiagrams import arc_set, classify, cycle_word, parse_perm, word_predicates
-from arcdiagrams.cli import render_ascii
+from arcdiagrams.render import render_ascii
 
 # a permutation is given as space-separated values, always starting at 1
 sigma = parse_perm("1 3 2 7 8 4 5 6")

@@ -20,7 +20,7 @@ from arcdiagrams import (
     transpose_labels,
     validate_block_word,
 )
-from arcdiagrams.cli import render_ascii
+from arcdiagrams.render import render_ascii
 
 # blocks are written between bars; each block is a path of vertices
 braid = parse_bdiagram("3 1 6 | 2 7 8 | 4 5")

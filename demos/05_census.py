@@ -8,7 +8,7 @@ number, and surfaces the words whose permutation sets refuse the neat
 """
 
 from arcdiagrams import catalan_number, motzkin_number
-from arcdiagrams.cli import census_lines, census_report
+from arcdiagrams.census import census_lines, census_report
 
 # the expected counts come from the classic recurrences
 print("Motzkin:", [motzkin_number(k) for k in range(8)])

@@ -68,7 +68,7 @@ from arcdiagrams import (
     catalan_number,
     motzkin_number,
 )
-from arcdiagrams.cli import CensusReport, SplitException
+from arcdiagrams.census import CensusReport, SplitException
 from arcdiagrams.errors import check_cap
 
 # unit steps of each letter's block path, written out by hand

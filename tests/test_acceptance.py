@@ -30,7 +30,7 @@ from arcdiagrams import (
     perms_from_word,
     validate_block_word,
 )
-from arcdiagrams.cli import census_report
+from arcdiagrams.census import census_report
 from arcdiagrams.words import motzkin_number
 from conftest import crossing_brute_force, random_bdiagram
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -23,7 +25,9 @@ from arcdiagrams import (
     parse_bdiagram,
     parse_perm,
 )
-from arcdiagrams.cli import build_parser, census_report, main, render_ascii, render_svg
+from arcdiagrams.census import census_report
+from arcdiagrams.cli import _COMMANDS, _COMMON, _plain_args, build_parser, main
+from arcdiagrams.render import render_ascii, render_svg
 from arcdiagrams.errors import DEFAULT_CAP
 from conftest import (
     census_grouping_oracle,
@@ -458,8 +462,9 @@ REPO = Path(__file__).resolve().parents[1]
 SUBMODULES = ("bdiagram", "errors", "generation", "inversion", "perm", "words")
 
 # run a command in a fresh interpreter, then name the submodules whose body ran
-# (one not yet used is still a lazy module, of a subclass of ModuleType) and
-# json, if it was imported
+# (one not yet used is still a lazy module, of a subclass of ModuleType, or
+# for census and render not imported) and json and argparse, with the modules
+# argparse loads, if they were imported
 RAN = """
 import io, sys, types
 from contextlib import redirect_stdout
@@ -467,9 +472,9 @@ import arcdiagrams.cli
 if sys.argv[1:]:
     with redirect_stdout(io.StringIO()):
         arcdiagrams.cli.main(sys.argv[1:])
-print(*(m for m in %r if type(sys.modules["arcdiagrams." + m]) is types.ModuleType))
-print(*{"json"} & set(sys.modules))
-""" % (SUBMODULES,)
+print(*(m for m in %r if type(sys.modules.get("arcdiagrams." + m)) is types.ModuleType))
+print(*{"json", "argparse", "gettext", "locale"} & set(sys.modules))
+""" % (SUBMODULES + ("census", "render"),)
 
 
 def python(code, *argv, path=(REPO / "src",)):
@@ -494,31 +499,40 @@ class TestStartup:
         "argv, ran",
         [
             ((), ()),  # the import alone
-            (("census", "5"), ("words",)),
+            (("census", "5"), ("words", "census")),
             (("invert", "rkR"), ("inversion", "words")),
             (("crossing", "1 3 | 2"), ("bdiagram",)),
             (("generators", "1 2 | 3"), ("bdiagram", "generation")),
             (("validate-word", "rarARAA"), ("bdiagram", "words")),
             (("crossing", "1 3 | 2", "--json"), ("bdiagram", "json")),
+            (("render", "rkR"), ("words", "render")),
+            (("--help",), ("argparse", "gettext", "locale")),
+            (("classify",), ("argparse", "gettext", "locale")),  # a usage error
         ],
     )
     def test_each_command_runs_only_its_modules(self, argv, ran):
-        # every command uses errors and perm; the rest, json included, on demand
+        # every command uses errors and perm; the rest, json included, on
+        # demand; argparse loads only for help, usage errors and unusual forms
         assert set(python(RAN, *argv)) == {"errors", "perm", *ran}
 
     def test_tracer_restores_functions_of_modules_loaded_under_it(self):
         # the tracer loads bdiagram, generation and inversion as it scans
         # sys.modules; each must bind the functions it imports before the
-        # tracer wraps them, or a wrapper outlives the trace
+        # tracer wraps them, or a wrapper outlives the trace. census and
+        # render are first imported under it, by the commands that use them
         code = """
 import io, sys
 from contextlib import redirect_stdout
 import arcdiagrams.cli, spans
+assert not {"arcdiagrams.census", "arcdiagrams.render"} & set(sys.modules)
 rec = spans.Recorder()
 with spans.Tracer(rec), redirect_stdout(io.StringIO()):
     arcdiagrams.cli.main(["invert", "rkR"])
     arcdiagrams.cli.main(["crossing", "1 3 | 2"])
+    arcdiagrams.cli.main(["census", "5"])
+    arcdiagrams.cli.main(["render", "rkR"])
 print(*sorted(set(rec.names)))
+print(*sorted({rec.names[i] + "<" + rec.names[p] for i, p in enumerate(rec.parents) if p >= 0}))
 for name, module in list(sys.modules.items()):
     for attr, value in vars(module).items():
         if name.startswith("arcdiagrams") and getattr(
@@ -529,6 +543,13 @@ for name, module in list(sys.modules.items()):
         out = python(code, path=(REPO / "src", REPO / "perfbench"))
         assert "left:" not in out
         assert {"inversion.perms_from_word", "bdiagram.max_crossing"} <= set(out)
+        # the census nests as perfbench's per-layer metrics read it
+        assert {
+            "cli.census_report<cli.main",
+            "perm.all_cyclic_perms<cli.census_report",
+            "words.cycle_word<cli.census_report",
+            "perm.arc_set<words.cycle_word",
+        } <= set(out)
 
 
 class TestPackage:
@@ -725,6 +746,119 @@ class TestUsage:
             help_text = capsys.readouterr().out
             flags = re.findall(r"^  (?:-h, )?(--[\w-]+)", help_text, re.MULTILINE)
             assert flags == ["--help", "--json", "--cap", *own], name
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["arcdiagrams", "inflate", "arAkAA"])
+        assert main() == 0 and capsys.readouterr().out == "aaaAAaAA\n"
+
+
+def perfbench_argvs(seeds):
+    """Every argv the benchmark's workloads run for these seeds."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [list(c.argv) for w in workloads.WORKLOADS for s in seeds for c in workloads.build(w, s)]
+
+
+# tokens for argvs near the plain form: per kind of operand or option value,
+# four good ones first (none for a bad choice), then ones that argparse
+# reads otherwise or refuses
+PLAIN_VALUES = {
+    str: ("rkR", "1 3 2", "1 2 | 3", "arAkAA", "x y", "a=b", "", "-x", "--", "-1", "- 1"),
+    int: ("5", "3", "0", "12", "1_0", " 7 ", "x", "", "-1", "-5", "-1_0", "--5", "5.0"),
+    "choice": ("-", "--", "bogus", "", "tab", "-blocks"),
+}
+PLAIN_JUNK = (
+    "-h", "--help", "--", "-", "--js", "--ca", "--canon", "--meth", "--cap=5", "--json=1",
+    "--method=table", "--kind=perm", "--bogus", "-1", "-1_0", "", "1_0", "x",
+)
+
+
+def near_plain_argv(rng):
+    """A subcommand (rarely a wrong name), one operand too few, too many or
+    exactly enough, and between them some of its options with a value each
+    and now and then a junk token."""
+    name = rng.choice([*_COMMANDS, "frobnicate", "-h", "cens", "--json"])
+    arguments = {**dict(_COMMON), **dict(_COMMANDS[name][2] if name in _COMMANDS else ())}
+    operands = [a for a in arguments if not a.startswith("-")]
+    flags = [a for a in arguments if a.startswith("-")]
+    count = len(operands) + rng.choice((0, 0, 0, 0, -1, 1))
+    groups = [
+        [value_token(rng, arguments[operands[i]] if i < len(operands) else {})]
+        for i in range(max(count, 0))
+    ]
+    extra = []
+    for _ in range(rng.choice((0, 1, 1, 2, 3, 4))):  # repeats and conflicts too
+        flag = rng.choice(flags)
+        group = [flag]
+        if arguments[flag].get("action") != "store_true" and rng.random() < 0.95:
+            group.append(value_token(rng, arguments[flag]))
+        extra.append(group)
+    if rng.random() < 0.2:
+        extra.append([rng.choice(PLAIN_JUNK)])
+    for group in extra:  # anywhere between the operands, which keep their order
+        groups.insert(rng.randint(0, len(groups)), group)
+    return [name] + [token for group in groups for token in group]
+
+
+def value_token(rng, settings):
+    choices = settings.get("choices")
+    if choices and rng.random() < 0.8:
+        return rng.choice(choices)
+    pool = PLAIN_VALUES[int if settings.get("type") is int else "choice" if choices else str]
+    return rng.choice(pool[:4] if rng.random() < 0.6 else pool)
+
+
+class TestPlainArgs:
+    # _plain_args skips argparse for well-formed argv; wherever it accepts
+    # one, it must give exactly what argparse gives
+
+    @staticmethod
+    def argparse_values(parser, argv):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit:
+                return "argparse refused " + repr(argv)
+
+    def test_benchmark_argvs_are_plain(self):
+        parser = build_parser()
+        argvs = perfbench_argvs(range(1, 6))
+        for argv in argvs + [[a for a in argv if a != "--json"] for argv in argvs]:
+            plain = _plain_args(argv)
+            assert plain is not None, argv
+            assert vars(plain) == self.argparse_values(parser, argv), argv
+
+    def test_agrees_with_argparse_wherever_it_accepts(self):
+        rng = random.Random(32)
+        parser = build_parser()
+        accepted = 0
+        for _ in range(20_000):
+            argv = near_plain_argv(rng)
+            plain = _plain_args(argv)
+            if plain is not None:
+                accepted += 1
+                assert vars(plain) == self.argparse_values(parser, argv), argv
+        # both outcomes are common, so neither side of each check goes untried
+        assert 2_000 < accepted < 18_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["-h"], ["--help"], ["census", "--help"], ["census", "-h"], ["frobnicate"],
+            ["invert", "rkR", "--js"], ["census", "5", "--cap=5"], ["census", "--", "5"],
+            ["census", "-5"], ["census", "x"], ["census", "5.0"], ["census"],
+            ["census", "5", "extra"], ["census", "5", "--cap"], ["census", "5", "--cap", "-1"],
+            ["census", "5", "--cap", "-1_0"], ["render", "rkR", "--kind", "bogus"],
+            ["invert", "rkR", "--all", "--canonical-half"],
+            ["generators", "1 | 2", "--count", "--list"],
+            ["edit", "add", "1 2 | 3", "-1", "2"], ["edit", "grow", "1 2 | 3", "1", "2"],
+        ],
+    )
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert _plain_args(argv) is None
 
 
 FUZZ_TOKENS = {

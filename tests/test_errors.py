@@ -31,7 +31,8 @@ from arcdiagrams import (
     perms_from_word_oracle,
     remove_arc,
 )
-from arcdiagrams.cli import census_report, main
+from arcdiagrams.census import census_report
+from arcdiagrams.cli import main
 from arcdiagrams.errors import ORACLE_MAX_N, brief, check_cap
 from conftest import int_str_limit
 

@@ -25,7 +25,7 @@ from arcdiagrams import (
     WordCheck,
     WordPredicates,
 )
-from arcdiagrams.cli import CensusReport, SplitException
+from arcdiagrams.census import CensusReport, SplitException
 
 TRIANGLE = ((1, 2), (2, 3), (1, 3))
 
