@@ -9,8 +9,8 @@ the result.
 """
 
 from arcdiagrams import (
+    Classification,
     canonical_half,
-    classes_from_word,
     cycle_word,
     neighbor_candidates,
     perms_from_word,
@@ -20,8 +20,9 @@ from arcdiagrams import (
 word = "rkrRkR"
 print("word:", word)
 
-# the candidate table: which vertices may sit next to which
-classes = classes_from_word(word)
+# the candidate table: which vertices may sit next to which, by the classes
+# read straight off the letters (left ramphoids r, right ramphoids R, keratoids k)
+classes = Classification(*([v for v, c in enumerate(word, 1) if c == x] for x in "rRk"))
 for vertex, allowed in sorted(neighbor_candidates(classes).items()):
     print(f"  neighbours of {vertex}: {sorted(allowed)}")
 

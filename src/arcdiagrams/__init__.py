@@ -23,8 +23,8 @@ _NAMES = {
         ParseError SizeMismatch TooLarge TooSmall WouldCycle""",
     "generation": """CommonGenerators canonical_generator common_generators complete_table
         count_generators enumerate_generators generators_oracle""",
-    "inversion": """canonical_half classes_from_word count_perms_from_word
-        neighbor_candidates perms_from_word perms_from_word_oracle""",
+    "inversion": """canonical_half count_perms_from_word neighbor_candidates
+        perms_from_word perms_from_word_oracle""",
     "perm": """Arc Classification CycleDiagram CyclicPerm all_cyclic_perms arc_set
         arc_text classify parse_perm""",
     "words": """StepPath WordPredicates catalan_number check_cycle_word cycle_word

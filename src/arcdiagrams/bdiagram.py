@@ -41,7 +41,6 @@ from .errors import (
 )
 from .perm import (
     ARCS,
-    MOVES,
     Arc,
     CyclicPerm,
     _Value,
@@ -52,6 +51,17 @@ from .perm import (
     letter_sets,
     trace_paths,
 )
+
+#: Moves of a left-to-right sweep over open paths of one or two stubs: a vertex
+#: takes a stub of each of ``closes`` distinct paths, and the path through it keeps
+#: the two-stub ones' other stubs plus its ``opens``.  Per letter, by two-stub paths
+#: taken: (two-stub taken, one-stub taken, change in two-stub paths).
+MOVES = {
+    letter: tuple(
+        (twos, closes - twos, (twos + opens == 2) - twos) for twos in range(closes + 1)
+    )
+    for letter, (opens, closes) in ARCS.items()
+}
 
 
 def _oriented(block: tuple[int, ...]) -> tuple[int, ...]:
@@ -198,7 +208,7 @@ def _realize(word: str, prefix: list[int]) -> BDiagram | None:
     that would duplicate a vertex pair or close a cycle.  The first match
     keeping t2, the open two-stub paths, within :func:`_feasibility_table`'s
     bound is taken, so the search never backtracks.  One check per letter
-    finds it: a closing move of ``perm.MOVES`` keeps t2 or lowers it by
+    finds it: a closing move of ``MOVES`` keeps t2 or lowers it by
     one, and t2 is at most one above the bound, as no table row is more
     than one above the next; so a match fits exactly when t2 is within
     the bound or it takes a stub of a two-stub path.  Each open vertex
@@ -258,7 +268,7 @@ def _feasibility_table(word: str, prefix: list[int]) -> list[int]:
     every completion ends with d + (s - t2) + (n - i) - C_i components, C_i
     the arcs that letters i+1..n close, whatever is chosen; from the start
     that is n - m, which :func:`_realize` checks once.  The table is filled
-    backward, one bound per move of ``perm.MOVES``: O(n) in time and space.
+    backward, one bound per move of ``MOVES``: O(n) in time and space.
     The sweep reads only whether its t2 exceeds ``table[i]``.
     """
     table = [-1] * len(word) + [0]

@@ -86,6 +86,25 @@ def census_report(n: int, cap: int = DEFAULT_CAP) -> CensusReport:
     )
 
 
+def census_json(report: CensusReport) -> dict:
+    """The report as the ``census --json`` payload."""
+    return {
+        "n": report.n,
+        "permutations": report.perm_count,
+        "words": {
+            "count": report.word_count,
+            "expected": report.motzkin_expected,
+            "pass": report.words_pass,
+        },
+        "dyck_words": {
+            "count": report.dyck_count,
+            "expected": report.dyck_expected,
+            "pass": report.dyck_pass,
+        },
+        "split_exceptions": [e._asdict() for e in report.split_exceptions],
+    }
+
+
 def census_lines(report: CensusReport) -> list[str]:
     lines = [
         f"n={report.n} cyclic permutations={report.perm_count}",

@@ -149,25 +149,10 @@ def census_report(n: int, cap: int = DEFAULT_CAP):
 
 
 def _cmd_census(args) -> int:
-    from .census import census_lines
+    from .census import census_json, census_lines
 
     report = census_report(args.n, args.cap)
-    payload = {
-        "n": report.n,
-        "permutations": report.perm_count,
-        "words": {
-            "count": report.word_count,
-            "expected": report.motzkin_expected,
-            "pass": report.words_pass,
-        },
-        "dyck_words": {
-            "count": report.dyck_count,
-            "expected": report.dyck_expected,
-            "pass": report.dyck_pass,
-        },
-        "split_exceptions": [e._asdict() for e in report.split_exceptions],
-    }
-    return _emit(args, payload, census_lines(report))
+    return _emit(args, census_json(report), census_lines(report))
 
 
 # ------------------------------------------------------------------ parsing

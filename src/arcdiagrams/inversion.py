@@ -21,19 +21,8 @@ from math import factorial
 from typing import Iterable
 
 from .errors import DEFAULT_CAP, brief, check_cap, check_scan, too_deep
-from .perm import Classification, CyclicPerm, all_cyclic_perms, letter_sets, sorted_perms
+from .perm import Classification, CyclicPerm, all_cyclic_perms, sorted_perms
 from .words import check_cycle_word, cycle_word
-
-
-def classes_from_word(word: str) -> Classification:
-    """Read the three vertex classes straight off the letters.
-
-    A letter outside rRk raises the ``NotAWord`` of :func:`check_cycle_word`.
-    """
-    sets = letter_sets(word, "rRk")
-    if sum(map(len, sets)) < len(word):
-        check_cycle_word(word)  # names the foreign letters
-    return Classification(*sets)
 
 
 def neighbor_candidates(cls: Classification) -> dict[int, frozenset[int]]:

@@ -38,16 +38,6 @@ ARCS = {"r": (2, 0), "R": (0, 2), "k": (1, 1), "a": (1, 0), "A": (0, 1), "e": (0
 # translates a vertex's tally byte, 3 * (arcs opening) + (arcs closing), to its letter
 _TALLY = bytes(3 * opening + closing for opening, closing in ARCS.values())
 _LETTER = bytes.maketrans(_TALLY, "".join(ARCS).encode())
-#: Moves of a left-to-right sweep over open paths of one or two stubs: a vertex
-#: takes a stub of each of ``closes`` distinct paths, and the path through it keeps
-#: the two-stub ones' other stubs plus its ``opens``.  Per letter, by two-stub paths
-#: taken: (two-stub taken, one-stub taken, change in two-stub paths).
-MOVES = {
-    letter: tuple(
-        (twos, closes - twos, (twos + opens == 2) - twos) for twos in range(closes + 1)
-    )
-    for letter, (opens, closes) in ARCS.items()
-}
 
 
 class _Value:

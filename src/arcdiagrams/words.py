@@ -109,14 +109,13 @@ def check_cycle_word(word: str) -> None:
     Motzkin path.
     """
     try:
-        _check_letters(word, CYCLE_ALPHABET)
+        preds = word_predicates(word)  # checks the letters as it reads them
     except AlphabetMismatch as exc:
         raise NotAWord(str(exc)) from exc
     if word[0] != "r" or word[-1] != "R":
         raise NotAWord("word must start with r and end with R")
     if word[1] == "R" or word[-2] == "r":
         raise NotAWord("second letter R or second-to-last letter r is impossible")
-    preds = word_predicates(word)
     if not preds.is_motzkin:
         raise NotAWord("word is not balanced with nonnegative prefixes")
     if not preds.is_elevated:

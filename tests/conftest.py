@@ -18,7 +18,10 @@ visited boundaries by arc count: patience sorting at every boundary.
 ``opening_count_word``, ``counter_block_word``, ``scan_bclassification``
 and ``scan_classes_from_word`` keep the letter readers from before the one
 ``(opens, closes)`` table: the cycle word from the count of opening arcs,
-the block word from two counters, and class sets from one scan per letter.
+the block word from two counters, and class sets from one scan per letter
+(the classes that the ``neighbor_candidates`` tests take).
+``check_cycle_word_reference`` gives ``check_cycle_word``'s verdict from its
+documented rules, applied in order as plain loops.
 ``trace_components_reference`` and ``cycle_diagram_check_reference`` keep
 the component walker over per-vertex neighbour lists and the
 ``CycleDiagram`` check built on it, from before the flat neighbour table;
@@ -27,7 +30,7 @@ the reference walks cycles too, so it checks both the path walker
 of ``perm.spanning_cycle``.
 ``count_perms_reference`` and ``feasibility_table_reference`` keep the
 fibre count and the realization's feasibility table from before the one
-move table ``perm.MOVES``, with each letter's rule written out by hand; the
+move table ``bdiagram.MOVES``, with each letter's rule written out by hand; the
 count is a (k open paths, s lone r) dynamic program, not the library's
 product over path heights, and the table keeps a column per count of
 finished components, which the library's table no longer tracks.
@@ -61,6 +64,7 @@ from arcdiagrams import (
     CyclicPerm,
     DegreeExceeded,
     InvalidReason,
+    NotAWord,
     NotPresent,
     NotRepresentable,
     OutOfRange,
@@ -141,6 +145,39 @@ def scan_bclassification(b):
 def scan_classes_from_word(word):
     """The three classes of a cycle word, one scan per letter."""
     return Classification(*letter_scans(word, "rRk"))
+
+
+def check_cycle_word_reference(word):
+    """``(NotAWord, message)`` for the first rule of ``check_cycle_word`` that
+    ``word`` breaks, in the documented order (alphabet, ends, second letters,
+    balance, elevation), or None for a word of a cycle diagram."""
+    if not word:
+        return NotAWord, "empty word"
+    foreign = []
+    for c in word:
+        if c not in "rRk" and c not in foreign:
+            foreign.append(c)
+    if foreign:
+        return NotAWord, f"letters {sorted(foreign)} not in alphabet 'rRk'"
+    if word[0] != "r" or word[-1] != "R":
+        return NotAWord, "word must start with r and end with R"
+    if word[1] == "R" or word[-2] == "r":
+        return NotAWord, "second letter R or second-to-last letter r is impossible"
+    height, dips, touches = 0, False, False
+    for i, c in enumerate(word):
+        if c == "r":
+            height += 1
+        elif c == "R":
+            height -= 1
+        if height < 0:
+            dips = True
+        if height <= 0 and i < len(word) - 1:
+            touches = True
+    if height != 0 or dips:
+        return NotAWord, "word is not balanced with nonnegative prefixes"
+    if touches:
+        return NotAWord, "path touches the axis before the final letter"
+    return None
 
 
 def census_grouping_oracle(n):

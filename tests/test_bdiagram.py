@@ -302,7 +302,7 @@ class TestRealizationScale:
 
 
 class TestFeasibilityTable:
-    """The bounds read off perm.MOVES against bit masks from one hand-written
+    """The bounds read off bdiagram.MOVES against bit masks from one hand-written
     branch per letter that also counts finished components f, up to 2.  Its
     f = 2 column must be the run of bits 0..bound.  On a balanced word its
     f = 0 and f = 1 columns must keep, of that run, the t2 that end with at

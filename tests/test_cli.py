@@ -457,6 +457,25 @@ class TestCensus:
     def test_single_pass_matches_grouping_oracle(self, n):
         assert census_report(n) == census_grouping_oracle(n)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_json_matches_grouping_oracle(self, capsys, n):
+        oracle = census_grouping_oracle(n)
+        code, out, _ = run(capsys, "census", str(n), "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "n": n,
+            "permutations": oracle.perm_count,
+            "words": {"count": oracle.word_count, "expected": oracle.motzkin_expected,
+                      "pass": True},
+            "dyck_words": {"count": oracle.dyck_count, "expected": oracle.dyck_expected,
+                           "pass": True},
+            "split_exceptions": [
+                {"word": e.word, "expected_second": e.expected_second, "count": e.count,
+                 "example": e.example}
+                for e in oracle.split_exceptions
+            ],
+        }
+
 
 REPO = Path(__file__).resolve().parents[1]
 SUBMODULES = ("bdiagram", "errors", "generation", "inversion", "perm", "words")

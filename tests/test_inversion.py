@@ -13,7 +13,6 @@ from arcdiagrams import (
     all_cyclic_perms,
     canonical_half,
     check_cycle_word,
-    classes_from_word,
     count_perms_from_word,
     cycle_word,
     neighbor_candidates,
@@ -53,7 +52,7 @@ DYCK_PERMS = (
 
 class TestNeighborCandidates:
     def test_mixed_word(self):
-        table = neighbor_candidates(classes_from_word(MIXED_WORD))
+        table = neighbor_candidates(scan_classes_from_word(MIXED_WORD))
         assert table == {
             1: frozenset({2, 4, 5, 6}),
             2: frozenset({1, 4, 5, 6}),
@@ -64,7 +63,7 @@ class TestNeighborCandidates:
         }
 
     def test_dyck_word(self):
-        table = neighbor_candidates(classes_from_word(DYCK_WORD))
+        table = neighbor_candidates(scan_classes_from_word(DYCK_WORD))
         assert table == {
             1: frozenset({3, 5, 6}),
             2: frozenset({3, 5, 6}),
@@ -75,7 +74,7 @@ class TestNeighborCandidates:
         }
 
     def test_smallest_word(self):
-        table = neighbor_candidates(classes_from_word("rkR"))
+        table = neighbor_candidates(scan_classes_from_word("rkR"))
         assert table == {
             1: frozenset({2, 3}),
             2: frozenset({1, 3}),
@@ -98,25 +97,6 @@ def all_words(max_n, min_n=3):
             word = "r" + "".join(inner) + "R"
             if outcome(check_cycle_word, word)[0] == "ok":
                 yield word
-
-
-class TestClassesFromWord:
-    def test_matches_one_scan_per_letter_on_every_word(self):
-        words = {cycle_word(p) for n in range(3, 9) for p in all_cyclic_perms(n)}
-        for word in words:
-            assert classes_from_word(word) == scan_classes_from_word(word)
-
-    @pytest.mark.parametrize("word", ["rAR", "rkA", "xyz", "rrR", "Rr", ""])
-    def test_odd_words_fare_as_one_scan_per_letter(self, word):
-        # a word in rRk fares as the scans do; a letter outside rRk is named
-        # as check_cycle_word names it, where the scans' sets miss a vertex
-        foreign = set(word) - set("rRk")
-        reference = check_cycle_word if foreign else scan_classes_from_word
-        assert outcome(classes_from_word, word) == outcome(reference, word)
-
-    def test_foreign_letter_refused(self):
-        with pytest.raises(NotAWord, match=r"letters \['A'\] not in alphabet 'rRk'"):
-            classes_from_word("rAR")
 
 
 class TestPermsFromWord:

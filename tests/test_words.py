@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -23,8 +24,9 @@ from arcdiagrams import (
     step_groups,
     word_predicates,
 )
-from arcdiagrams.perm import MOVES
+from arcdiagrams.bdiagram import MOVES
 from arcdiagrams.words import ARCS
+from conftest import check_cycle_word_reference
 
 
 class TestCycleWord:
@@ -86,6 +88,25 @@ class TestCheckCycleWord:
     def test_rejects(self, bad):
         with pytest.raises(NotAWord):
             check_cycle_word(bad)
+
+    def test_reports_the_first_rule_that_fails(self):
+        # six letters, as the shortest word that passes the other rules but
+        # touches the axis early is rkRrkR
+        verdicts = set()
+        for n in range(7):
+            for letters in product("rRkAz", repeat=n):
+                word = "".join(letters)
+                try:
+                    check_cycle_word(word)
+                    got = None
+                except ValueError as exc:
+                    got = type(exc), str(exc)
+                expected = check_cycle_word_reference(word)
+                assert got == expected, word
+                verdicts.add(expected and expected[1].split("[")[0])
+        # each of the six rules decides some word (foreign letters under one
+        # message), and some word passes
+        assert len(verdicts) == 7, verdicts
 
 
 class TestReindex:
