@@ -13,7 +13,7 @@ from itertools import chain
 from typing import Iterable
 
 from . import bdiagram, generation, inversion, words
-from .errors import DEFAULT_CAP, DiagramError, check_cap
+from .errors import DEFAULT_CAP, DiagramError
 from .perm import arc_text, letter_sets, parse_perm
 
 
@@ -123,19 +123,15 @@ def _cmd_render(args) -> int:
 
     if args.kind == "perm":
         word = words.cycle_word(parse_perm(args.input))
-        dialect = "cycle"
-    elif args.kind == "word":
-        words.check_cycle_word(args.input)
-        word = args.input
-        dialect = "cycle"
     else:
         word = args.input
-        dialect = "block"
-    if args.format != "svg":  # render_ascii's grid: a column per step, a row per band
-        steps, _, _, bands = render._layout(word, dialect)
-        check_cap((max(bands) - min(bands) + 2) * len(steps), args.cap, "cells to draw")
-    draw = render.render_svg if args.format == "svg" else render.render_ascii
-    art = draw(word, dialect)
+        if args.kind == "word":
+            words.check_cycle_word(word)
+    dialect = "block" if args.kind == "bword" else "cycle"
+    if args.format == "svg":  # its size grows only with the word, so it takes no cap
+        art = render.render_svg(word, dialect)
+    else:
+        art = render.render_ascii(word, dialect, args.cap)
     payload = {"kind": args.kind, "word": word, "art": art}
     return _emit(args, payload, [art])
 

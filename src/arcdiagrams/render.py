@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from . import words
+from .errors import DEFAULT_CAP, check_cap
 
 
 def _layout(word: str, dialect: str) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -23,15 +24,17 @@ def _layout(word: str, dialect: str) -> tuple[list[int], list[int], list[int], l
     return steps, heights, starts, bands
 
 
-def render_ascii(word: str, dialect: str) -> str:
+def render_ascii(word: str, dialect: str, cap: int = DEFAULT_CAP) -> str:
     """Draw the path of ``word`` with ``/``, ``\\`` and ``_`` characters.
 
     One text column per unit step; vertex indices are printed under the
-    first column of each letter's step group.
+    first column of each letter's step group.  A grid (a row per band, one of
+    labels) past ``cap`` cells raises :class:`CapExceeded` before it is built.
     """
     steps, _, starts, bands = _layout(word, dialect)
     width = len(steps)
     top, bottom = max(bands), min(bands)
+    check_cap((top - bottom + 2) * width, cap, "cells to draw")
     rows = [[" "] * width for _ in range(top - bottom + 1)]
     for col, (dy, band) in enumerate(zip(steps, bands)):
         rows[top - band][col] = {1: "/", -1: "\\", 0: "_"}[dy]

@@ -1,10 +1,6 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -55,13 +51,13 @@ from conftest import (
     generated_bdiagrams,
     random_bdiagram,
     remove_arc_reference,
+    run_own_peak,
     scan_bclassification,
 )
 
 BRAID = "3 1 6 | 2 7 8 | 4 5"
 SPARSE = "1 3 | 2 | 4 8 | 5 6 | 7"
 SIGMA = "1 3 2 7 8 4 5 6"
-REPO = Path(__file__).resolve().parents[1]
 
 
 class TestParse:
@@ -234,16 +230,15 @@ class TestValidateBlockWord:
         assert checked == 4125 + 2000
 
 
-# reads one word a line; prints the seconds each takes, then the peak RSS
+# reads one word a line; prints the seconds each takes
 ARGV_LENGTH_CHILD = """
-import resource, sys, time
+import sys, time
 from arcdiagrams import block_word, validate_block_word
 for word in sys.stdin.read().split():
     start = time.perf_counter()
     result = validate_block_word(word)
     print(time.perf_counter() - start)
     assert result.ok and block_word(result.witness) == word
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -282,20 +277,16 @@ class TestRealizationScale:
 
     def test_argv_length_words(self):
         # 131,070 letters or near it, the longest single command-line
-        # argument; a fresh interpreter times each word and reports its own
-        # peak RSS (KiB)
+        # argument; a fresh interpreter times each word, within its own peak RSS
         words = [
             "a" * 65_535 + "A" * 65_535,
             "r" * 43_690 + "A" * 87_380,
             "a" * 32_767 + "r" * 32_767 + "R" * 32_767 + "A" * 32_767,
             block_word(random_bdiagram(random.Random(17), 131_070)),
         ]
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", ARGV_LENGTH_CHILD],
-            input="\n".join(words), env=env, capture_output=True, text=True, check=True,
-        )
-        *elapsed, peak_kib = map(float, done.stdout.split())
+        code, out, err, peak_kib = run_own_peak(["-c", ARGV_LENGTH_CHILD], "\n".join(words))
+        assert code == 0, err
+        elapsed = list(map(float, out.split()))
         assert len(elapsed) == len(words)
         assert max(elapsed) < 5.0, elapsed
         assert peak_kib < 200 * 1024

@@ -28,7 +28,7 @@ from arcdiagrams import (
 from arcdiagrams.census import census_report
 from arcdiagrams.cli import _COMMANDS, _COMMON, _plain_args, build_parser, main
 from arcdiagrams.render import render_ascii, render_svg
-from arcdiagrams.errors import DEFAULT_CAP
+from arcdiagrams.errors import DEFAULT_CAP, CapExceeded
 from conftest import (
     census_grouping_oracle,
     elevated_motzkin_words,
@@ -55,6 +55,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def draw_ascii(capsys, route, kind, word, *cap):
+    """Exit code, stdout and stderr of drawing ``word`` as ASCII art through
+    ``main`` or straight through ``render_ascii``, whose refusal is written
+    here as ``main`` writes it, and the refusal itself (``None`` from ``main``)."""
+    if route is main:
+        options = [arg for c in cap for arg in ("--cap", str(c))]
+        return (*run(capsys, "render", f"--kind={kind}", word, *options), None)
+    try:
+        art = render_ascii(word, "block" if kind == "bword" else "cycle", *cap)
+    except CapExceeded as exc:
+        return 3, "", f"error: {exc}\n", exc
+    return 0, art + "\n", "", None
 
 
 class TestClassify:
@@ -396,21 +410,26 @@ class TestRender:
         _, second, _ = run(capsys, "render", "--kind=bword", "--format=svg", "arAkAA")
         assert first == second
 
-    def test_cap_counts_cells(self, capsys):
+    @pytest.mark.parametrize("route", [main, render_ascii], ids=["main", "render_ascii"])
+    def test_cap_counts_cells(self, capsys, route):
         # three bands and a label row, eight columns: 32 cells
-        code, out, err = run(capsys, "render", "--kind=word", "rrRrkRkR", "--cap", "31")
+        code, out, err, _ = draw_ascii(capsys, route, "word", "rrRrkRkR", 31)
         assert code == 3 and out == ""
-        assert "32 cells to draw exceed the cap 31" in err
-        code, out, _ = run(capsys, "render", "--kind=word", "rrRrkRkR", "--cap", "32")
+        assert err == "error: 32 cells to draw exceed the cap 31\n"
+        code, out, _, _ = draw_ascii(capsys, route, "word", "rrRrkRkR", 32)
         assert code == 0 and out.rstrip("\n") == MOTZKIN_ART
 
-    def test_cap_refuses_before_drawing(self, capsys):
-        # 8,001 rows of 16,000 columns: refused without building the grid
+    @pytest.mark.parametrize("route", [main, render_ascii], ids=["main", "render_ascii"])
+    def test_cap_refuses_before_drawing(self, capsys, route):
+        # 8,001 rows of 16,000 columns under the default cap: refused without
+        # building the grid
         start = time.perf_counter()
-        code, out, err = run(capsys, "render", "--kind=bword", "r" * 4000 + "R" * 4000)
+        code, out, err, refusal = draw_ascii(capsys, route, "bword", "r" * 4000 + "R" * 4000)
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert "128016000 cells to draw exceed the cap 1000000" in err
+        assert err == "error: 128016000 cells to draw exceed the cap 1000000\n"
+        if route is render_ascii:
+            assert (refusal.requested, refusal.limit) == (128_016_000, DEFAULT_CAP)
 
     def test_svg_is_not_capped(self, capsys):
         # its size grows with the word, not with the word's height times its width

@@ -1,9 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -25,9 +21,7 @@ from arcdiagrams import (
     generators_oracle,
     parse_bdiagram,
 )
-from conftest import assert_validated_perms, random_bdiagram, random_cut
-
-REPO = Path(__file__).resolve().parents[1]
+from conftest import assert_validated_perms, random_bdiagram, random_cut, run_own_peak
 
 THREE_BLOCKS = "1 2 3 | 4 7 8 | 5 6"
 THREE_BLOCKS_GENERATORS = (
@@ -178,24 +172,15 @@ class TestCompleteTable:
     def test_deep_refusal_within_budget(self):
         # 3,000 singletons, with a cap past their 2999! completions, run past
         # the recursion limit; a fresh interpreter refuses them in one line,
-        # and os.wait4 reads its own peak RSS (KiB)
-        argv = [
-            sys.executable, "-c", "from arcdiagrams.cli import run; run()",
+        # within its own peak RSS
+        code, out, err, peak_kib = run_own_peak([
+            "-c", "from arcdiagrams.cli import run; run()",
             "generators", "|".join(map(str, range(1, 3001))), "--list",
             "--method", "table", "--cap", "9" * 12_000,
-        ]
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        child = subprocess.Popen(
-            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
-        )
-        out, err = child.stdout.read(), child.stderr.read()
-        child.stdout.close()
-        child.stderr.close()
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 3 and out == ""
+        ])
+        assert code == 3 and out == ""
         assert err.startswith("error: input too deep to search") and err.count("\n") == 1
-        assert usage.ru_maxrss < 100 * 1024
+        assert peak_kib < 100 * 1024
 
 
 class TestTripleAgreement:
