@@ -30,6 +30,10 @@ class CapError(DiagramError):
 
     exit_code = 3
 
+    def __init__(self, message, requested=None, limit=None):
+        super().__init__(message)
+        self.requested, self.limit = requested, limit
+
 
 # ---- parse failures ----
 
@@ -159,23 +163,17 @@ def check_cap(count: int, cap: int, what: str, at_least: bool = False) -> None:
         return
     size = brief(count) + " of" * (count >= 10**30)
     bound = "at least " if at_least else ""
-    exc = CapExceeded(f"{bound}{size} {what} exceed the cap {brief(cap)}")
-    exc.requested, exc.limit = count, cap
-    raise exc
+    raise CapExceeded(f"{bound}{size} {what} exceed the cap {brief(cap)}", count, cap)
 
 
 def check_scan(n: int, who: str) -> None:
     """Raise :class:`TooLarge`, with ``requested`` and ``limit``, past ``ORACLE_MAX_N``."""
     if n > ORACLE_MAX_N:
-        exc = TooLarge(f"{who} refuses n={brief(n)} > {ORACLE_MAX_N}")
-        exc.requested, exc.limit = n, ORACLE_MAX_N
-        raise exc
+        raise TooLarge(f"{who} refuses n={brief(n)} > {ORACLE_MAX_N}", n, ORACLE_MAX_N)
 
 
 def too_deep(depth: int) -> TooLarge:
     """:class:`TooLarge` for a search of ``depth`` levels that ran past the
     interpreter's recursion limit, with ``requested`` and ``limit``."""
     limit = sys.getrecursionlimit()
-    exc = TooLarge(f"input too deep to search within recursion limit {limit}")
-    exc.requested, exc.limit = depth, limit
-    return exc
+    return TooLarge(f"input too deep to search within recursion limit {limit}", depth, limit)

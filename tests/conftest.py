@@ -15,6 +15,9 @@ permutation by its word before looking for split exceptions (listing the
 permutations itself and reading words by ``value_class_word``).
 ``crossing_patience_reference`` keeps ``max_crossing`` from before it
 visited boundaries by arc count: patience sorting at every boundary.
+``nesting_reference`` gives the largest mutually nesting arc family, whose
+joint distribution with the crossing number is symmetric on perfect
+matchings.
 ``opening_count_word``, ``counter_block_word``, ``scan_bclassification``
 and ``scan_classes_from_word`` keep the letter readers from before the one
 ``(opens, closes)`` table: the cycle word from the count of opening arcs,
@@ -536,6 +539,20 @@ def crossing_patience_reference(b):
                 tails[at : at + 1] = [j]  # replace tails[at], or append
         best = max(best, len(tails))
     return best
+
+
+def nesting_reference(b):
+    """Largest mutually-nesting arc family by an O(m^2) chain DP.
+
+    Arcs (i1,j1) .. (ik,jk) mutually nest when i1 < .. < ik < jk < .. < j1:
+    the longest run of arcs, ordered by start, whose ends strictly decrease.
+    """
+    arcs = sorted(b.arcs())
+    lengths = []
+    for t, (i, j) in enumerate(arcs):
+        prior = [lengths[s] for s in range(t) if arcs[s][0] < i and arcs[s][1] > j]
+        lengths.append(1 + max(prior, default=0))
+    return max(lengths, default=0)
 
 
 def random_bdiagram(rng: random.Random, n: int) -> BDiagram:

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import random
 import time
 
@@ -49,6 +51,7 @@ from conftest import (
     feasibility_table_reference,
     first_realization_reference,
     generated_bdiagrams,
+    nesting_reference,
     random_bdiagram,
     remove_arc_reference,
     run_own_peak,
@@ -508,6 +511,36 @@ class TestMaxCrossing:
             diagrams.append(BDiagram(tuple((i, 2 * m + 1 - i) for i in range(1, m + 1))))
         for b in diagrams:
             assert max_crossing(b) == crossing_patience_reference(b), b.n
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_perfect_matching_closed_forms(self, m):
+        # every perfect matching of 2m points as m 2-vertex blocks, (2m - 1)!! of them
+        def matchings(points):
+            if not points:
+                yield ()
+                return
+            first, rest = points[0], points[1:]
+            for t, partner in enumerate(rest):
+                for tail in matchings(rest[:t] + rest[t + 1 :]):
+                    yield ((first, partner), *tail)
+
+        joint = collections.Counter()
+        for blocks in matchings(tuple(range(1, 2 * m + 1))):
+            b = BDiagram(blocks)
+            joint[max_crossing(b), nesting_reference(b)] += 1
+        assert joint.total() == math.prod(range(1, 2 * m, 2))
+        catalan = [math.comb(2 * k, k) // (k + 1) for k in range(m + 3)]
+
+        def crossing_at_most(k):
+            return sum(count for (crossing, _), count in joint.items() if crossing <= k)
+
+        # noncrossing matchings: Catalan(m)
+        assert crossing_at_most(1) == catalan[m]
+        # no three mutually crossing arcs: C(m) C(m+2) - C(m+1)^2 (Gouyou-Beauchamps 1989)
+        assert crossing_at_most(2) == catalan[m] * catalan[m + 2] - catalan[m + 1] ** 2
+        # crossings and nestings are distributed symmetrically (Chen et al. 2007); on
+        # b-diagrams in general they are not
+        assert joint == collections.Counter({(ne, cr): c for (cr, ne), c in joint.items()})
 
 
 class TestEdits:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import pytest
@@ -92,6 +94,32 @@ def test_search_past_the_recursion_limit_is_too_large(search, depth):
     assert (info.value.requested, info.value.limit) == (depth, limit)
     assert str(info.value) == f"input too deep to search within recursion limit {limit}"
     assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+@pytest.mark.parametrize(
+    "guard",
+    [
+        lambda: census_report(7, 5),
+        lambda: census_report(11),
+        lambda: perms_from_word("r" + "rR" * 600 + "R", cap=10**200),
+    ],
+    ids=["check_cap", "check_scan", "too_deep"],
+)
+def test_size_guard_errors_survive_pickle_and_copy(guard):
+    # the numbers stay attributes: args is the message alone, as str() shows it
+    with pytest.raises((CapExceeded, TooLarge)) as info:
+        guard()
+    exc = info.value
+    assert exc.args == (str(exc),) and exc.requested is not None and exc.limit is not None
+    for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+        assert type(clone) is type(exc) and (str(clone), clone.args) == (str(exc), exc.args)
+        assert (clone.requested, clone.limit) == (exc.requested, exc.limit)
+
+
+def test_size_guard_error_built_without_numbers():
+    assert CapExceeded("m").requested is None and CapExceeded("m").limit is None
+    assert TooLarge("m").requested is None and TooLarge("m").limit is None
+    assert TooLarge("m").args == ("m",) and str(TooLarge("m")) == "m"
 
 
 def test_size_guard_message_and_exit_code_on_the_command_line(capsys):
