@@ -46,20 +46,17 @@ count, ``remove_arc`` splicing lists.
 ``random_bdiagram`` and ``random_cut`` draw seeded b-diagrams, the second one
 that a given permutation generates, ``random_cycle_word`` draws a seeded
 valid cycle word, and ``int_str_limit`` runs a block under a chosen
-int-string digit limit.  ``run_own_peak`` runs a Python command in a fresh
-interpreter and reads that command's own peak RSS.
+int-string digit limit.  ``run_own_peak``, from ``heavy_cases``, runs a
+Python command in a fresh interpreter and reads that command's own peak RSS.
 """
 
 import bisect
 import itertools
-import os
 import random
-import subprocess
 import sys
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from itertools import accumulate
-from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -81,6 +78,7 @@ from arcdiagrams import (
 )
 from arcdiagrams.census import CensusReport, SplitException
 from arcdiagrams.errors import check_cap
+from heavy_cases import _LAUNCHER, run_own_peak  # noqa: F401 (shared with the tests)
 
 # unit steps of each letter's block path, written out by hand
 BLOCK_STEPS = {
@@ -648,39 +646,3 @@ def int_str_limit(digits):
         yield
     finally:
         sys.set_int_max_str_digits(before)
-
-
-# spawns the command in argv[2:], waits for it, and writes its exit code and
-# peak RSS (KiB) to the file descriptor argv[1]; it passes the command's
-# input and output through and holds nothing, so it stays small
-_LAUNCHER = """
-import os, sys
-pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
-_, status, usage = os.wait4(pid, 0)
-os.write(int(sys.argv[1]), b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
-"""
-
-
-def run_own_peak(args, input=None):
-    """Run ``python *args`` with this repository's ``src`` on its path, and
-    return its exit code, stdout, stderr and own peak RSS in KiB.
-
-    On Linux a process spawned from a large one (this test run) reads the
-    spawner's peak RSS as its own, by ``os.wait4`` and by ``RUSAGE_SELF``
-    alike.  So the command is spawned by a small launcher process, and
-    carries over only the launcher's few megabytes.
-    """
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    read, write = os.pipe()
-    try:
-        launcher = subprocess.run(
-            [sys.executable, "-c", _LAUNCHER, str(write), sys.executable, *args],
-            input=input, env=env, capture_output=True, text=True, pass_fds=(write,),
-        )
-    finally:
-        os.close(write)
-    with os.fdopen(read) as report:
-        text = report.read()
-    assert launcher.returncode == 0, launcher.stderr
-    code, peak_kib = map(int, text.split())
-    return code, launcher.stdout, launcher.stderr, peak_kib

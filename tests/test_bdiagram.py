@@ -287,7 +287,7 @@ class TestRealizationScale:
             "a" * 32_767 + "r" * 32_767 + "R" * 32_767 + "A" * 32_767,
             block_word(random_bdiagram(random.Random(17), 131_070)),
         ]
-        code, out, err, peak_kib = run_own_peak(["-c", ARGV_LENGTH_CHILD], "\n".join(words))
+        code, out, err, peak_kib, _ = run_own_peak(["-c", ARGV_LENGTH_CHILD], "\n".join(words))
         assert code == 0, err
         elapsed = list(map(float, out.split()))
         assert len(elapsed) == len(words)

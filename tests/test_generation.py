@@ -173,7 +173,7 @@ class TestCompleteTable:
         # 3,000 singletons, with a cap past their 2999! completions, run past
         # the recursion limit; a fresh interpreter refuses them in one line,
         # within its own peak RSS
-        code, out, err, peak_kib = run_own_peak([
+        code, out, err, peak_kib, _ = run_own_peak([
             "-c", "from arcdiagrams.cli import run; run()",
             "generators", "|".join(map(str, range(1, 3001))), "--list",
             "--method", "table", "--cap", "9" * 12_000,
