@@ -14,7 +14,10 @@ ORACLE_MAX_N = 10
 
 
 class DiagramError(ValueError):
-    """Base class for every error raised by this library."""
+    """Base class for every error this library raises on a rejected
+    permutation, diagram, word or size.  A bad value of an option, such as
+    an unknown dialect or a negative index to ``motzkin_number``, stays a
+    plain ``ValueError``."""
 
     exit_code = 2
 

@@ -51,24 +51,22 @@ def count_generators(b: BDiagram) -> int:
 def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """All generators by arranging blocks, sorted lexicographically.
 
-    The first block keeps its place in the circular order; the remaining
-    blocks are permuted and every non-singleton block may independently be
-    reversed.  The count always matches :func:`count_generators`.
+    The longest block keeps its place, walked one way if it is a path; the
+    others are permuted and each non-singleton one may be reversed.  With no
+    path, an order whose first block is greater than its last is skipped, as
+    its reverse walks the same cycles.  So each cycle is listed once, and the
+    count always matches :func:`count_generators`.
     """
     expected = count_generators(b)
     check_cap(expected, cap, "generators")
-    variants = [
-        (block,) if len(block) == 1 else (block, block[::-1])
-        for block in b.blocks
-    ]
-    found = []
-    for order in itertools.permutations(range(1, b.block_count)):
-        slots = [variants[0]] + [variants[i] for i in order]
-        for choice in itertools.product(*slots):
-            flat = tuple(v for block in choice for v in block)
-            at = flat.index(1)
-            found.append(flat[at:] + flat[:at])
-    return sorted_perms(found, expected, f"arrangements of {b}")
+    head, *rest = sorted(b.blocks, key=len, reverse=True)  # stable: a path leads
+    variants = [(block,) if len(block) == 1 else (block, block[::-1]) for block in rest]
+    cycles = []
+    for order in itertools.permutations(range(len(rest))):
+        if len(head) > 1 or order[0] < order[-1]:
+            for choice in itertools.product(*[variants[i] for i in order]):
+                cycles.append(head + tuple(v for block in choice for v in block))
+    return sorted_perms(cycles, expected, f"arrangements of {b}")
 
 
 def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
@@ -97,17 +95,16 @@ def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, 
 def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
     """All generators by completing the arc table of the diagram.
 
-    The diagram provides n - m arcs; every way of adding m more arcs so
-    that each vertex meets exactly two and the result is a single
-    spanning cycle is a generator diagram, contributing that cycle's two
-    traversals.  New arcs are added in increasing order so each completion
-    is visited once.  The search keeps one list of path-end pointers:
-    ``mate[v]`` is the other end of the path ending at v (v itself when v
-    is isolated) and ``None`` once v meets two arcs.  An arc may join two
-    ends, and may join the two ends of one path only as the last arc, so
-    no cycle closes early; it is applied and undone in place.  Every open
-    end still needs an arc, so each step joins the least open end i to an
-    open end j after it, and past the last arc's partner if i took it too.
+    The diagram provides n - m arcs; every way of adding m more arcs so that
+    each vertex meets exactly two and the result is a single spanning cycle
+    is a generator diagram.  New arcs are added in increasing order, so each
+    cycle is listed once.  The search keeps one list of path-end pointers:
+    ``mate[v]`` is the other end of the path ending at v (v itself when v is
+    isolated) and ``None`` once v meets two arcs.  An arc may join two ends,
+    and may join the two ends of one path only as the last arc, so no cycle
+    closes early; it is applied and undone in place.  Every open end still
+    needs an arc, so each step joins the least open end i to an open end j
+    after it, and past the last arc's partner if i took it too.
     Raises ``TooLarge`` for more blocks than the recursion limit lets it search.
     """
     expected = count_generators(b)
@@ -123,8 +120,7 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
 
     def search(left: int) -> None:
         if not left:
-            walk = spanning_cycle(n, have.union(added))
-            found.extend((walk, walk[:1] + walk[:0:-1]))
+            found.append(spanning_cycle(n, have.union(added)))
             return
         i = next(v for v in ends if mate[v] is not None)
         ei = mate[i]
@@ -187,10 +183,7 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
         walks = []
     shared: tuple[CyclicPerm, ...] = ()
     if len(walks) == 1:  # a path or cycle through all n >= 3 vertices
-        walk = walks[0]
-        at = walk.index(1)
-        walk = walk[at:] + walk[:at]
-        shared = sorted_perms([walk, walk[:1] + walk[:0:-1]], 2, f"cycles through {b}")
+        shared = sorted_perms(walks, 2, f"cycles through {b}")
     elif walks:
         shared = enumerate_generators(BDiagram(walks))
     return CommonGenerators(

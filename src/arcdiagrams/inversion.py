@@ -96,8 +96,8 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
     closes the last.  Each move fixes its vertex's letter: an ``r``'s
     neighbours both come later, a ``k`` has one earlier and one later, and
     an ``R``'s are both earlier.  So every branch ends in a cycle with the
-    word, and no walk is read back.  Each is walked both ways from 1, so
-    the result is closed under reversal.  Raises ``NotAWord`` for a
+    word, and no walk is read back.  Each cycle is listed once, and walked
+    both ways from 1, so the result is closed under reversal.  Raises ``NotAWord`` for a
     non-word, ``CapExceeded`` before listing when the count exceeds
     ``cap``, and ``TooLarge`` for a word too long to sweep within the
     recursion limit.
@@ -108,14 +108,12 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
     """
     total = count_perms_from_word(word, cap)
     n = len(word)
-    found: list[tuple[int, ...]] = []
+    cycles: list[tuple[int, ...]] = []
 
     def sweep(v: int, paths: tuple[tuple[int, ...], ...]) -> None:
         if v == n:
             [path] = paths
-            at = path.index(1)
-            walk = path[at:] + (v,) + path[:at]
-            found.extend((walk, walk[:1] + walk[:0:-1]))
+            cycles.append(path + (v,))
         elif word[v - 1] == "r":
             sweep(v + 1, paths + ((v,),))
         elif word[v - 1] == "k":
@@ -134,7 +132,7 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]
         sweep(1, ())
     except RecursionError:  # one level per letter
         raise too_deep(n) from None
-    return sorted_perms(found, total, f"cycles with the word {word}")
+    return sorted_perms(cycles, total, f"cycles with the word {word}")
 
 
 def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:

@@ -29,7 +29,7 @@ from functools import total_ordering
 from operator import lt
 from typing import Iterable, Iterator
 
-from .errors import NotAPermutation, NotNormalized, TooSmall, brief
+from .errors import NotAPermutation, NotNormalized, NotRepresentable, OutOfRange, TooSmall, brief
 
 Arc = tuple[int, int]
 
@@ -202,6 +202,8 @@ class CyclicPerm(_Value):
 
     def position_of(self, value: int) -> int:
         """1-based position of ``value`` (the inverse permutation)."""
+        if value not in self.seq:
+            raise OutOfRange(f"{brief(value)} out of 1..{self.n}")
         return self.seq.index(value) + 1
 
     def reverse(self) -> CyclicPerm:
@@ -216,15 +218,23 @@ class CyclicPerm(_Value):
         return " ".join(str(v) for v in self.seq)
 
 
-def sorted_perms(found: list, expected: int, what: str) -> tuple[CyclicPerm, ...]:
-    """The listed sequences ``found`` as permutations in lexicographic order.
+def sorted_perms(cycles: list, expected: int, what: str) -> tuple[CyclicPerm, ...]:
+    """Each of ``cycles`` walked both ways from 1, in lexicographic order:
+    the one tail of every listing route, and the one home of a row's form.
 
-    The shared tail of every listing route: raises ``RuntimeError`` unless
-    ``found`` holds exactly ``expected`` sequences, all distinct.  Each is a
-    tuple walking from 1 through all n >= 3 vertices, so it skips the checks of
-    ``CyclicPerm.__init__``.
+    Each cycle comes once, as a tuple through all n >= 3 vertices from any of
+    them either way, so its walks skip the checks of ``CyclicPerm.__init__``.
+    Raises ``RuntimeError`` unless they make ``expected`` permutations, all distinct.
+
+    >>> [str(p) for p in sorted_perms([(2, 3, 1)], 2, "cycles")]
+    ['1 2 3', '1 3 2']
     """
-    found = sorted(found)
+    found = []
+    for walk in cycles:
+        at = walk.index(1)
+        walk = walk[at:] + walk[:at]
+        found += walk, walk[:1] + walk[:0:-1]
+    found.sort()
     if len(found) != expected or not all(map(lt, found, found[1:])):
         raise RuntimeError(f"{what}: {len(found)} listed, not {expected} distinct")
     perms = [object.__new__(CyclicPerm) for _ in found]
@@ -265,7 +275,10 @@ class CycleDiagram(_Value):
         arcs = frozenset(map(tuple, arcs))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
-        spanning_cycle(n, arcs)
+        try:
+            spanning_cycle(n, arcs)
+        except ValueError as exc:
+            raise NotRepresentable(str(exc)) from None
 
     def sorted_arcs(self) -> tuple[Arc, ...]:
         return tuple(sorted(self.arcs))
@@ -308,9 +321,9 @@ class Classification(_Value):
         n = len(R) + len(Rbar) + len(K)
         # the union has at most n members, so holding 1..n makes them disjoint
         if not (R | Rbar | K).issuperset(range(1, n + 1)):
-            raise ValueError("classes must partition 1..n")
+            raise NotAPermutation("classes must partition 1..n")
         if len(R) != len(Rbar):
-            raise ValueError("left and right ramphoids must be equinumerous")
+            raise NotRepresentable("left and right ramphoids must be equinumerous")
 
     @property
     def n(self) -> int:

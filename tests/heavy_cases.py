@@ -121,6 +121,7 @@ _DISJOINT = _pairs(range(1, N + 1))
 _BWORD = "a" * 30_000 + "r" * 30_000 + "R" * 30_000 + "A" * 30_000
 # one 2-vertex block and nine singletons
 _ONE_PAIR = " | ".join(["1 2", *map(str, range(3, 12))])
+_SINGLETONS = " | ".join(map(str, range(1, 10)))
 _LISTING_725760 = "the 725,760 listings run in CI only until ROADMAP item 11 or 6 brings them down"
 
 CASES = [
@@ -164,6 +165,12 @@ CASES = [
     HeavyCase('generators "1 2 | 3 | 4 | ... | 10" --list --method oracle --json',
               [*CLI, "generators", _ONE_PAIR.removesuffix(" | 11"), "--list", "--method",
                "oracle", "--json"], 0, 80_640, 1.2, 105),
+    # nine singletons: 8! generators, each cycle arranged once by blocks
+    HeavyCase('generators "1 | 2 | ... | 9" --list --json',
+              [*CLI, "generators", _SINGLETONS, "--list", "--json"], 0, 40_320, 0.8, 75),
+    HeavyCase('generators "1 | 2 | ... | 9" --list --method table --json',
+              [*CLI, "generators", _SINGLETONS, "--list", "--method", "table", "--json"], 0,
+              40_320, 1.2, 75),
     # 2 * 9! generators, near the cap
     HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list --json',
               [*CLI, "generators", _ONE_PAIR, "--list", "--json"], 0, 725_760, 12.5, 630,

@@ -9,13 +9,16 @@ from arcdiagrams import (
     AlphabetMismatch,
     BDiagram,
     CapExceeded,
+    Classification,
     CycleDiagram,
     CyclicPerm,
+    DiagramError,
     EmptyBlock,
     HasKeratoids,
     NotAGenerator,
     NotAPermutation,
     NotPresent,
+    NotRepresentable,
     OutOfRange,
     TooLarge,
     TooSmall,
@@ -180,8 +183,8 @@ UNGENERATED = "1 3 | 2 4 " + ENTRIES[8:]  # arcs 1-3 and 2-4, which 1 2 3 ... la
         (lambda: remove_arc(parse_bdiagram("1 | 2"), (1, BIG)), NotPresent),
         (lambda: cut_set(parse_perm(ENTRIES), parse_bdiagram(UNGENERATED)), NotAGenerator),
         (lambda: dyck_parity_word(parse_perm(ENTRIES)), HasKeratoids),
-        (lambda: CycleDiagram(3, frozenset({(1, 2), (2, 3), (1, BIG)})), ValueError),
-        (lambda: CycleDiagram(BIG, frozenset()), ValueError),
+        (lambda: CycleDiagram(3, frozenset({(1, 2), (2, 3), (1, BIG)})), NotRepresentable),
+        (lambda: CycleDiagram(BIG, frozenset()), NotRepresentable),
         (lambda: inflate("".join(map(chr, range(0x4E00, 0x4E00 + 5000)))), AlphabetMismatch),
     ],
     ids=[
@@ -197,6 +200,27 @@ def test_message_sites_echo_huge_input_briefly(call, error, request):
     assert "Exceeds the limit" not in str(info.value) and len(str(info.value)) < 200
     if request.node.callspec.id.endswith("-digits"):  # an integer, if too long for int()
         assert "non-integer" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: CycleDiagram(3, [(1, 2)]), NotRepresentable, "expected 3 arcs, got 1"),
+        (lambda: CycleDiagram(3, [(1, 2), (2, 3), (3, 4)]), NotRepresentable,
+         "bad arc (3, 4) for n=3"),
+        (lambda: Classification([1], [2], [5]), NotAPermutation, "classes must partition 1..n"),
+        (lambda: Classification([1, 2], [4], [3]), NotRepresentable,
+         "left and right ramphoids must be equinumerous"),
+        (lambda: CyclicPerm((1, 2, 3)).position_of(7), OutOfRange, "7 out of 1..3"),
+    ],
+    ids=["CycleDiagram-count", "CycleDiagram-arc", "Classification-partition",
+         "Classification-ramphoids", "position_of"],
+)
+def test_rejected_input_raises_a_diagram_error(call, error, message):
+    # DiagramError is the base of what the library raises on input it rejects
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, DiagramError) and str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,22 @@ class TestTripleAgreement:
                 assert complete_table(b) == by_blocks
                 assert generators_oracle(b) == by_blocks
 
+    def test_any_block_order(self):
+        # BDiagram is positional: every order of the blocks, each either way,
+        # lists what the normalized diagram does
+        variants = 0
+        for n in range(3, 6):
+            for b in all_bdiagrams(n):
+                expected = generators_oracle(b)
+                ways = [{block, block[::-1]} for block in b.blocks]
+                for order in itertools.permutations(ways):
+                    for blocks in itertools.product(*order):
+                        shuffled = BDiagram(blocks)
+                        assert enumerate_generators(shuffled) == expected, shuffled
+                        assert complete_table(shuffled) == expected, shuffled
+                        variants += 1
+        assert variants == 1_986  # a singleton reads the same either way
+
     def test_random_n8(self):
         rng = random.Random(4711)
         for _ in range(25):

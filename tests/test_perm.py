@@ -390,16 +390,25 @@ class TestUncheckedValues:
 
 class TestSortedPerms:
     @pytest.mark.parametrize(
-        "found, expected",
+        "cycles, expected",
         [
-            ([(1, 3, 2), (1, 2, 3), (1, 3, 2)], 3),  # a duplicate fills the count
-            ([(1, 2, 3)], 2),  # one short
+            ([(1, 2, 3), (1, 2, 3)], 4),  # a duplicate fills the count
+            ([(1, 3, 2, 4), (4, 2, 3, 1)], 4),  # one cycle twice, once reversed
+            ([(2, 3, 1)], 4),  # one short
         ],
+        ids=["duplicate", "reversed", "short"],
     )
-    def test_rejects(self, found, expected):
+    def test_rejects(self, cycles, expected):
         with pytest.raises(RuntimeError) as info:
-            sorted_perms(found, expected, "cycles")
-        assert str(info.value) == f"cycles: {len(found)} listed, not {expected} distinct"
+            sorted_perms(cycles, expected, "cycles")
+        listed = 2 * len(cycles)
+        assert str(info.value) == f"cycles: {listed} listed, not {expected} distinct"
+
+    @pytest.mark.parametrize("walk", [(3, 1, 4, 2), (2, 4, 1, 3), (1, 3, 2, 4)])
+    def test_walk_from_anywhere(self, walk):
+        # any start, either direction: the cycle's two walks from 1
+        perms = sorted_perms([walk], 2, "cycles")
+        assert [p.seq for p in perms] == [(1, 3, 2, 4), (1, 4, 2, 3)]
 
 
 class TestArcText:
