@@ -10,8 +10,8 @@ any subset of the non-singleton blocks.
 Three routes compute the same set and are kept deliberately separate so
 they can cross-check each other: direct arrangement of blocks
 (:func:`enumerate_generators`), completion of the missing arcs by
-backtracking from the least open path end over one list of path-end
-pointers, changed and restored in place (:func:`complete_table`), and a
+backtracking from the least open path end over one list of open walks,
+each cycle yielded as its last arc closes it (:func:`complete_table`), and a
 brute-force scan of the (n-1)! sequences from 1 (:func:`generators_oracle`).
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bdiagram import BDiagram
 from .errors import DEFAULT_CAP, SizeMismatch, TooSmall, check_cap, check_scan, too_deep
@@ -36,10 +36,11 @@ def canonical_generator(b: BDiagram) -> CyclicPerm:
 def count_generators(b: BDiagram) -> int:
     """``2**(m-l) * (m-1)!`` for m blocks of which l are singletons.
 
-    Raises :class:`TooSmall` below 3 vertices.  Fig. 16's three paths:
+    Raises :class:`TooSmall` below 3 vertices.  The count may pass the 4,300
+    digits ``str()`` allows by default; the CLI lifts that limit per command.
 
     >>> from arcdiagrams.bdiagram import parse_bdiagram
-    >>> count_generators(parse_bdiagram("1 2 3 | 4 7 8 | 5 6"))
+    >>> count_generators(parse_bdiagram("1 2 3 | 4 7 8 | 5 6"))  # Fig. 16's three paths
     16
     """
     if b.n < 3:
@@ -98,50 +99,47 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...
     The diagram provides n - m arcs; every way of adding m more arcs so that
     each vertex meets exactly two and the result is a single spanning cycle
     is a generator diagram.  New arcs are added in increasing order, so each
-    cycle is listed once.  The search keeps one list of path-end pointers:
-    ``mate[v]`` is the other end of the path ending at v (v itself when v is
-    isolated) and ``None`` once v meets two arcs.  An arc may join two ends,
-    and may join the two ends of one path only as the last arc, so no cycle
-    closes early; it is applied and undone in place.  Every open end still
-    needs an arc, so each step joins the least open end i to an open end j
-    after it, and past the last arc's partner if i took it too.
+    cycle is listed once.  The search keeps one list of open walks: ``walk[v]``
+    is the path ending at v, read from v, and ``None`` once v meets two arcs.
+    An arc joins the ends of two paths, whose join is stored at its two ends
+    and undone after; the last arc closes the one path left into the cycle.
+    Every open end still needs an arc, so each step joins the least open end
+    i to an open end j after it, and past the last arc's partner if i took it.
     Raises ``TooLarge`` for more blocks than the recursion limit lets it search.
     """
     expected = count_generators(b)
     check_cap(expected, cap, "completions")
-    n = b.n
-    have = b.arcs()
-    mate: list[int | None] = [None] * (n + 1)
+    walk: list[tuple[int, ...] | None] = [None] * (b.n + 1)
     for block in b.blocks:
-        mate[block[0]], mate[block[-1]] = block[-1], block[0]
-    ends = [v for v in range(1, n + 1) if mate[v] is not None]
-    added: list[Arc] = []
-    found: list[tuple[int, ...]] = []
+        walk[block[0]], walk[block[-1]] = block, block[::-1]
+    ends = [v for v, w in enumerate(walk) if w is not None]
 
-    def search(left: int) -> None:
-        if not left:
-            found.append(spanning_cycle(n, have.union(added)))
+    def search(left: int, last: Arc) -> Iterator[tuple[int, ...]]:
+        i = next(v for v in ends if walk[v] is not None)
+        wi = walk[i]
+        ei = wi[-1]
+        after = last[1] if last[0] == i else i
+        if left == 1:  # one path left: the arc (i, ei) closes it
+            if ei > after:
+                yield wi
             return
-        i = next(v for v in ends if mate[v] is not None)
-        ei = mate[i]
-        after = added[-1][1] if added and added[-1][0] == i else i
         for j in ends:
-            ej = mate[j]
-            if j <= after or ej is None or (ei == j) != (left == 1):
+            wj = walk[j]
+            if j <= after or wj is None or j == ei:
                 continue
-            mate[i] = mate[j] = None
-            mate[ei], mate[ej] = ej, ei
-            added.append((i, j))
-            search(left - 1)
-            added.pop()
-            mate[ei], mate[ej] = i, j
-            mate[i], mate[j] = ei, ej
+            ej = wj[-1]
+            saved = walk[ei], walk[ej]
+            walk[i] = walk[j] = None
+            walk[ei], walk[ej] = wi[::-1] + wj, wj[::-1] + wi
+            yield from search(left - 1, (i, j))
+            walk[ei], walk[ej] = saved
+            walk[i], walk[j] = wi, wj
 
+    # yielded, so sorted_perms rotates each walk as it closes and no list holds them
     try:
-        search(b.block_count)
+        return sorted_perms(search(b.block_count, (0, 0)), expected, f"completions of {b}")
     except RecursionError:  # one level per block
         raise too_deep(b.block_count) from None
-    return sorted_perms(found, expected, f"completions of {b}")
 
 
 class CommonGenerators(NamedTuple):

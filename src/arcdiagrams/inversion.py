@@ -63,7 +63,8 @@ def count_perms_from_word(word: str, cap: int | None = None) -> int:
     An elevated path has h >= 1 at a ``k`` and h >= 2 at an ``R`` but the
     last, so the product so far bounds the count from below.  Given a
     ``cap``, raises ``CapExceeded`` with that bound as soon as it passes
-    the cap; a count within the cap is exact.
+    the cap; a count within the cap is exact.  The count may pass the 4,300
+    digits ``str()`` allows by default; the CLI lifts that limit per command.
 
     >>> count_perms_from_word("rkrRkR")
     8

@@ -218,12 +218,13 @@ class CyclicPerm(_Value):
         return " ".join(str(v) for v in self.seq)
 
 
-def sorted_perms(cycles: list, expected: int, what: str) -> tuple[CyclicPerm, ...]:
+def sorted_perms(cycles: Iterable, expected: int, what: str) -> tuple[CyclicPerm, ...]:
     """Each of ``cycles`` walked both ways from 1, in lexicographic order:
     the one tail of every listing route, and the one home of a row's form.
 
     Each cycle comes once, as a tuple through all n >= 3 vertices from any of
     them either way, so its walks skip the checks of ``CyclicPerm.__init__``.
+    ``cycles`` is read once, so a generator can hand them over as it finds them.
     Raises ``RuntimeError`` unless they make ``expected`` permutations, all distinct.
 
     >>> [str(p) for p in sorted_perms([(2, 3, 1)], 2, "cycles")]

@@ -9,11 +9,15 @@ command may take.  Each argument stays within the 131,072 bytes that Linux
 allows one command-line argument.
 
 ``tests/test_heavy_cases.py`` runs every row once in tier-1 and holds it to
-its exit code, its count and both bounds, stopping it at its wall bound.
-Run as a script, this module reports every row that tier-1 does not expect
-to fail: per row, one Markdown line with the median wall time of its runs
-and their largest own peak RSS.  It prints every line, then fails only if a
-row exited with another code or listed another count::
+its exit code, its count, its stderr line and both bounds, stopping it at
+its wall bound.  Run as a script, this module first prints, in a Markdown
+code block, the lines of every module in ``src/`` as ``wc -l`` counts them,
+and for one command of each benchmarked kind the lines of the modules whose
+body ran, which it compiles.  Then it reports every row that tier-1 does not
+expect to fail: per row, one Markdown line with the median wall time of its
+runs and their largest own peak RSS.  It prints every line, then fails only
+if a command exited with another code, or a row listed another count or
+wrote another stderr line::
 
     PYTHONPATH=src python tests/heavy_cases.py
 
@@ -35,6 +39,8 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+REPO = Path(__file__).resolve().parents[1]
+
 # spawns the command in argv[3:], kills it once it has run argv[2] seconds (0: no
 # limit), and writes its exit code, peak RSS (KiB) and wall seconds to the file
 # descriptor argv[1]; the kill comes before the wait reaps the command, so it
@@ -53,6 +59,23 @@ os.write(int(sys.argv[1]), b"%d %d %r" % (code, usage.ru_maxrss, wall))
 """
 
 
+# run a command in a fresh interpreter, then print the stems of the arcdiagrams
+# modules whose body ran (one not yet used is still a lazy module, of a subclass
+# of ModuleType, or for census and render not imported), and on a second line
+# json and argparse, with the modules argparse loads, if they were imported
+RAN = """
+import io, sys, types
+from contextlib import redirect_stdout
+import arcdiagrams.cli
+if sys.argv[1:]:
+    with redirect_stdout(io.StringIO()):
+        arcdiagrams.cli.main(sys.argv[1:])
+print(*(name.partition(".")[2] or "__init__" for name, module in sys.modules.items()
+        if name.split(".")[0] == "arcdiagrams" and type(module) is types.ModuleType))
+print(*{"json", "argparse", "gettext", "locale"} & set(sys.modules))
+"""
+
+
 def run_own_peak(args, input=None, timeout=0):
     """Run ``python *args`` with this repository's ``src`` on its path, and
     return its exit code, stdout, stderr, own peak RSS in KiB and wall time
@@ -64,7 +87,7 @@ def run_own_peak(args, input=None, timeout=0):
     alike.  So the command is spawned by a small launcher process, and
     carries over only the launcher's few megabytes.
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     read, write = os.pipe()
     try:
         launcher = subprocess.run(
@@ -88,6 +111,7 @@ class HeavyCase(NamedTuple):
     wall_s: float  # the wall bound, at which tier-1 stops the command
     peak_mb: float  # the own-peak bound, in MiB
     runs: int = 1  # runs in the report, whose median it prints
+    error: str | None = None  # the start of the one line it writes to stderr, or None
     ci_only: str | None = None  # why tier-1 leaves the row to the report
     known_slow: str | None = None  # why tier-1 expects the row to fail its bound
 
@@ -179,6 +203,12 @@ CASES = [
     HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list --method table --json',
               [*CLI, "generators", _ONE_PAIR, "--list", "--method", "table", "--json"], 0,
               725_760, 21, 645, ci_only=_LISTING_725760),
+    # refused once the search passes the recursion limit: 15999! (about 60,300
+    # digits) is within the cap, so the search starts
+    HeavyCase('generators "1 | 2 | ... | 16000" --list --method table --cap <61,000 nines>',
+              [*CLI, "generators", " | ".join(map(str, range(1, 16_001))), "--list", "--method",
+               "table", "--cap", "9" * 61_000], 3, None, 0.5, 90,
+              error="error: input too deep to search"),
     # every other subcommand near the limit of one argument
     HeavyCase(f"classify on a random {N:,}-entry permutation", [*CLI, "classify", _PERM], 0,
               None, 0.5, 70),
@@ -215,13 +245,47 @@ def run_case(case, timeout=0):
         return f"{case.name} exited {code}, not {case.code}: {err}", wall_s, peak_kib
     if case.perms is not None and len(json.loads(out)["perms"]) != case.perms:
         return f"{case.name} did not list {case.perms:,} permutations", wall_s, peak_kib
+    if case.error is not None and not (err.startswith(case.error) and err.count("\n") == 1):
+        return f"{case.name} wrote {err[:200]!r}, not one line {case.error}...", wall_s, peak_kib
     return None, wall_s, peak_kib
 
 
-def report():
-    """Print a line for every case that is not known slow; return what went
-    wrong, or None."""
+# one command of each benchmarked kind, whose modules the report counts
+COUNTED = [
+    ["census", "9", "--json"],
+    ["invert", "rrkkkkkkRR", "--json"],
+    ["generators", "8 3 | 6 7 | 5 9 | 2 | 4 1 | 10", "--list", "--json"],
+    ["validate-word", "eerArarkARArRR", "--json"],
+]
+
+
+def line_counts():
+    """Print the line counts; return what went wrong, as a list."""
+    modules = sorted((REPO / "src" / "arcdiagrams").glob("*.py"))
+    lines = {path.stem: path.read_bytes().count(b"\n") for path in modules}
+    # wc -l pads every count to the digits of the files' total bytes
+    width = len(str(sum(path.stat().st_size for path in modules)))
+    print("```")
+    for path in modules:
+        print(f"{lines[path.stem]:>{width}} {path.relative_to(REPO)}")
+    print(f"{sum(lines.values()):>{width}} total")
     failures = []
+    for argv in COUNTED:
+        code, out, err, _, _ = run_own_peak(["-c", RAN, *argv])
+        if code:
+            failures.append(f"{' '.join(argv)} exited {code}: {err}")
+            continue
+        stems = sorted(out.split("\n")[0].split())
+        print(f"{' '.join(argv)}: {sum(lines[stem] for stem in stems)} lines in "
+              f"{', '.join(stems)}")
+    print("```", flush=True)
+    return failures
+
+
+def report():
+    """Print the line counts, then a line for every case that is not known
+    slow; return what went wrong, or None."""
+    failures = line_counts()
     for case in CASES:
         if case.known_slow:
             continue

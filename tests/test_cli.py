@@ -35,6 +35,7 @@ from conftest import (
     int_str_limit,
     random_bdiagram,
 )
+from heavy_cases import RAN, REPO, run_own_peak
 
 MOTZKIN_ART = """\
     _
@@ -266,6 +267,17 @@ class TestGenerators:
         code, out, err = run(capsys, "generators", singletons, "--list")
         assert code == 3 and out == "" and "cap" in err
 
+    def test_console_script_prints_a_count_past_str_digit_limit(self):
+        # run() in a fresh interpreter under the default limit, which main lifts
+        singletons = " | ".join(map(str, range(1, 2001)))
+        code, out, err, _, _ = run_own_peak(
+            ["-c", "import sys; assert sys.get_int_max_str_digits() == 4300\n"
+             "from arcdiagrams.cli import run; run()", "generators", singletons]
+        )
+        assert (code, err) == (0, "")
+        with int_str_limit(0):
+            assert out == f"{math.factorial(1999)}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["inflate", "aA"], ["inflate", "aQ"], ["census", "11"], ["frobnicate"], ["--help"]],
@@ -496,24 +508,7 @@ class TestCensus:
         }
 
 
-REPO = Path(__file__).resolve().parents[1]
 SUBMODULES = ("bdiagram", "errors", "generation", "inversion", "perm", "words")
-
-# run a command in a fresh interpreter, then name the submodules whose body ran
-# (one not yet used is still a lazy module, of a subclass of ModuleType, or
-# for census and render not imported) and json and argparse, with the modules
-# argparse loads, if they were imported
-RAN = """
-import io, sys, types
-from contextlib import redirect_stdout
-import arcdiagrams.cli
-if sys.argv[1:]:
-    with redirect_stdout(io.StringIO()):
-        arcdiagrams.cli.main(sys.argv[1:])
-print(*(m for m in %r if type(sys.modules.get("arcdiagrams." + m)) is types.ModuleType))
-print(*{"json", "argparse", "gettext", "locale"} & set(sys.modules))
-""" % (SUBMODULES + ("census", "render"),)
-
 
 def python(code, *argv, path=(REPO / "src",)):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
@@ -551,7 +546,7 @@ class TestStartup:
     def test_each_command_runs_only_its_modules(self, argv, ran):
         # every command uses errors and perm; the rest, json included, on
         # demand; argparse loads only for help, usage errors and unusual forms
-        assert set(python(RAN, *argv)) == {"errors", "perm", *ran}
+        assert set(python(RAN, *argv)) == {"__init__", "cli", "errors", "perm", *ran}
 
     def test_tracer_restores_functions_of_modules_loaded_under_it(self):
         # the tracer loads bdiagram, generation and inversion as it scans
