@@ -9,25 +9,65 @@ from __future__ import annotations
 import os
 import sys
 import types
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable
 
 from . import bdiagram, generation, inversion, words
 from .errors import DEFAULT_CAP, DiagramError
-from .perm import arc_text, letter_sets, parse_perm
+from .perm import CyclicPerm, arc_text, letter_sets, parse_perm
 
 
 # ----------------------------------------------------------------- commands
 
-def _emit(args, payload: dict, lines: Iterable[str]) -> int:
-    # ``lines`` may be lazy: it is consumed only when printed as text; the
-    # payload's only non-JSON values are CyclicPerms, written as their seq
-    if args.json:
-        import json  # here, so that a text command never loads it
+class _Escapes(dict):
+    """``str.translate``'s table from each char to its form in a JSON string."""
 
-        print(json.dumps(payload, default=lambda perm: perm.seq))
+    def __missing__(self, code):
+        if code > 0xFFFF:
+            return self[0xD800 | (code - 0x10000) >> 10] + self[0xDC00 | code & 0x3FF]
+        return f"\\u{code:04x}"
+
+
+_ESCAPES = _Escapes({code: code for code in range(0x20, 0x7F)})
+_ESCAPES.update(zip(b'"\\\b\f\n\r\t', map("\\".__add__, '"\\bfnrt')))
+
+
+def _rows(perms, sep: str):
+    """A listing's rows (CyclicPerms of one n), each its entries joined by ``sep``."""
+    names = [str(v) for v in range(perms[0].n + 1 if perms else 0)].__getitem__
+    return (sep.join(map(names, perm.seq)) for perm in perms)
+
+
+def _json(value):
+    """Yield ``json.dumps(value, default=lambda perm: perm.seq)`` in pieces, a
+    listing 4,096 rows a piece; raise TypeError on a type no payload holds."""
+    if isinstance(value, int):  # json writes a bool as true or false, not as 1 or 0
+        yield ("false", "true")[value] if value.__class__ is bool else int.__repr__(value)
+    elif isinstance(value, str):
+        yield '"' + value.translate(_ESCAPES) + '"'
+    elif isinstance(value, dict):
+        for i, (key, item) in enumerate(value.items()):
+            yield f'{", " if i else "{"}"{str.translate(key, _ESCAPES)}": '
+            yield from _json(item)
+        yield "}" if value else "{}"
+    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], CyclicPerm):
+        rows = _rows(value, ", ")
+        for i in range(0, len(value), 4096):
+            yield ("], [" if i else "[[") + "], [".join(islice(rows, 4096))
+        yield "]]"
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield ", " if i else "["
+            yield from _json(item)
+        yield "]" if value else "[]"
     else:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        raise TypeError(f"no payload holds a {type(value).__name__}")
+
+
+def _emit(args, payload: dict, lines: Iterable[str]) -> int:
+    # ``lines`` may be lazy: it is consumed only when printed as text
+    text = chain(_json(payload), "\n") if args.json else (f"{line}\n" for line in lines)
+    sys.stdout.writelines(text)
     return 0
 
 
@@ -45,7 +85,7 @@ def _cmd_invert(args) -> int:
     perms = inversion.perms_from_word(args.word, args.cap)
     shown = inversion.canonical_half(perms) if args.canonical_half else perms
     payload = {"word": args.word, "perms": shown}
-    lines: Iterable[str] = map(str, shown)
+    lines: Iterable[str] = _rows(shown, " ")
     if oracle is not None:
         status = "MATCH" if oracle == perms else "MISMATCH"
         payload["oracle"] = status
@@ -83,7 +123,7 @@ def _cmd_generators(args) -> int:
     }
     perms = methods[args.method](b, args.cap)
     payload = {"count": len(perms), "method": args.method, "perms": perms}
-    return _emit(args, payload, map(str, perms))
+    return _emit(args, payload, _rows(perms, " "))
 
 
 def _cmd_cutset(args) -> int:

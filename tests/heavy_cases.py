@@ -183,7 +183,7 @@ CASES = [
     HeavyCase("census 10 --json", [*CLI, "census", "10", "--json"], 0, None, 5.1, 45),
     # a word with many k
     HeavyCase("invert rrkkkkkkkkRR --json", [*CLI, "invert", "rrkkkkkkkkRR", "--json"], 0,
-              131_072, 2, 160),
+              131_072, 1.5, 150),
     # the brute-force oracle at its largest n: all 9! sequences from 1 scanned for
     # 2 * 8! generators
     HeavyCase('generators "1 2 | 3 | 4 | ... | 10" --list --method oracle --json',
@@ -197,12 +197,12 @@ CASES = [
               40_320, 1.2, 75),
     # 2 * 9! generators, near the cap
     HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list --json',
-              [*CLI, "generators", _ONE_PAIR, "--list", "--json"], 0, 725_760, 12.5, 630,
+              [*CLI, "generators", _ONE_PAIR, "--list", "--json"], 0, 725_760, 10.5, 470,
               ci_only=_LISTING_725760),
     # the same diagram by completing its arc table
     HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list --method table --json',
               [*CLI, "generators", _ONE_PAIR, "--list", "--method", "table", "--json"], 0,
-              725_760, 21, 645, ci_only=_LISTING_725760),
+              725_760, 13.5, 460, ci_only=_LISTING_725760),
     # refused once the search passes the recursion limit: 15999! (about 60,300
     # digits) is within the cap, so the search starts
     HeavyCase('generators "1 | 2 | ... | 16000" --list --method table --cap <61,000 nines>',

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import arcdiagrams
 from arcdiagrams import (
+    CyclicPerm,
     all_cyclic_perms,
     arc_set,
     block_word,
@@ -26,7 +27,7 @@ from arcdiagrams import (
     parse_perm,
 )
 from arcdiagrams.census import census_report
-from arcdiagrams.cli import _COMMANDS, _COMMON, _plain_args, build_parser, main
+from arcdiagrams.cli import _COMMANDS, _COMMON, _json, _plain_args, build_parser, main
 from arcdiagrams.render import render_ascii, render_svg
 from arcdiagrams.errors import DEFAULT_CAP, CapExceeded
 from conftest import (
@@ -508,6 +509,42 @@ class TestCensus:
         }
 
 
+# what the payloads hold: str-keyed dicts, lists and tuples (empty ones too),
+# bools, ints (past 4,300 digits too), listings of CyclicPerms of one n, and
+# text from every code point, with the chars json escapes drawn often
+_CHARS = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=())
+_ESCAPED = '"\\\b\f\n\r\t\x00\x1f\x7f\x80\ud800\udc80\uffff\U0001f600'
+_TEXT = st.text(_CHARS | st.sampled_from(_ESCAPED))
+_LISTINGS = st.integers(3, 8).flatmap(
+    lambda n: st.lists(st.permutations(range(2, n + 1)), min_size=1, max_size=9)
+).map(lambda rows: tuple(CyclicPerm((1, *row)) for row in rows))
+_PAYLOADS = st.recursive(
+    st.booleans() | st.integers() | st.integers(4300, 4400).map(lambda k: -(10**k) + 1)
+    | _TEXT | _LISTINGS,
+    lambda values: st.lists(values) | st.lists(values).map(tuple)
+    | st.dictionaries(_TEXT, values),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    @given(_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, payload):
+        with int_str_limit(0):  # as main lifts it
+            assert "".join(_json(payload)) == json.dumps(payload, default=lambda perm: perm.seq)
+
+    def test_a_listing_spans_pieces(self):
+        perms = tuple(all_cyclic_perms(8))  # 5,040 rows: two pieces
+        pieces = list(_json(perms))
+        assert len(pieces) == 3 and "".join(pieces) == json.dumps([p.seq for p in perms])
+
+    @pytest.mark.parametrize("value", [1.5, object(), None, {1: 2}, CyclicPerm((1, 2, 3))])
+    def test_refuses_what_no_payload_holds(self, value):
+        with pytest.raises(TypeError):
+            "".join(_json({"key": [0, value]}))
+
+
 SUBMODULES = ("bdiagram", "errors", "generation", "inversion", "perm", "words")
 
 def python(code, *argv, path=(REPO / "src",)):
@@ -537,15 +574,20 @@ class TestStartup:
             (("crossing", "1 3 | 2"), ("bdiagram",)),
             (("generators", "1 2 | 3"), ("bdiagram", "generation")),
             (("validate-word", "rarARAA"), ("bdiagram", "words")),
-            (("crossing", "1 3 | 2", "--json"), ("bdiagram", "json")),
+            # --json is written by cli itself, with no json package
+            (("crossing", "1 3 | 2", "--json"), ("bdiagram",)),
             (("render", "rkR"), ("words", "render")),
             (("--help",), ("argparse", "gettext", "locale")),
             (("classify",), ("argparse", "gettext", "locale")),  # a usage error
+            (("invert", "rkR", "--json"), ("inversion", "words")),
+            (("generators", "1 2 | 3", "--list", "--json"), ("bdiagram", "generation")),
+            (("census", "5", "--json"), ("words", "census")),
+            (("render", "rkR", "--json"), ("words", "render")),
         ],
     )
     def test_each_command_runs_only_its_modules(self, argv, ran):
-        # every command uses errors and perm; the rest, json included, on
-        # demand; argparse loads only for help, usage errors and unusual forms
+        # every command uses errors and perm; the rest on demand; argparse
+        # loads only for help, usage errors and unusual forms
         assert set(python(RAN, *argv)) == {"__init__", "cli", "errors", "perm", *ran}
 
     def test_tracer_restores_functions_of_modules_loaded_under_it(self):
@@ -625,23 +667,38 @@ class TestPackage:
 
 
 class TestBrokenPipe:
-    def test_reader_leaving_early_gives_no_traceback(self):
-        # 131,072 lines, far more than a pipe buffers, so the CLI is still
-        # writing when the reader closes its end (``... | head -1``)
+    # 131,072 rows, far more than a pipe buffers, so the CLI is still writing
+    # when the reader closes its end (``... | head -1``)
+    @staticmethod
+    def leave_early(size, *flags):
+        """The first ``size`` bytes of ``invert rrkkkkkkkkRR``, read before the
+        reader leaves, and the CLI's stderr; its exit code must be 0-3."""
         code = "from arcdiagrams.cli import run; run()"
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.Popen(
-            [sys.executable, "-c", code, "invert", "rrkkkkkkkkRR"],
+            [sys.executable, "-c", code, "invert", "rrkkkkkkkkRR", *flags],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
         )
-        first = proc.stdout.readline()
+        first = proc.stdout.read(size)
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) in (0, 1, 2, 3)
-        assert first == b"1 3 4 5 6 7 8 9 10 11 2 12\n"
+        return first, err
+
+    def test_reader_leaving_early_gives_no_traceback(self):
+        line = b"1 3 4 5 6 7 8 9 10 11 2 12\n"
+        first, err = self.leave_early(len(line))
+        assert first == line
+        assert b"Traceback" not in err
+
+    def test_json_reader_leaving_early_gives_no_traceback(self):
+        # JSON is written as it is made, so it meets the closed pipe mid-listing
+        first, err = self.leave_early(100, "--json")
+        assert first == (b'{"word": "rrkkkkkkkkRR", "perms": '
+                         b'[[1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 2, 12], [1, 3, 4, 5, 6, 7, 8, 9,')
         assert b"Traceback" not in err
 
 
