@@ -38,6 +38,15 @@ def _rows(perms, sep: str):
     return (sep.join(map(names, perm.seq)) for perm in perms)
 
 
+def _joined(items, sep: str, head: str, tail: str):
+    """Yield ``head + sep.join(items) + tail``, items never empty, 4,096 items a piece."""
+    items = iter(items)
+    while piece := list(islice(items, 4096)):
+        yield head + sep.join(piece)
+        head = sep
+    yield tail
+
+
 def _json(value):
     """Yield ``json.dumps(value, default=lambda perm: perm.seq)`` in pieces, a
     listing 4,096 rows a piece; raise TypeError on a type no payload holds."""
@@ -51,10 +60,7 @@ def _json(value):
             yield from _json(item)
         yield "}" if value else "{}"
     elif isinstance(value, (list, tuple)) and value and isinstance(value[0], CyclicPerm):
-        rows = _rows(value, ", ")
-        for i in range(0, len(value), 4096):
-            yield ("], [" if i else "[[") + "], [".join(islice(rows, 4096))
-        yield "]]"
+        yield from _joined(_rows(value, ", "), "], [", "[[", "]]")
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             yield ", " if i else "["
@@ -64,22 +70,15 @@ def _json(value):
         raise TypeError(f"no payload holds a {type(value).__name__}")
 
 
-def _emit(args, payload: dict, lines: Iterable[str]) -> int:
-    # ``lines`` may be lazy: it is consumed only when printed as text
-    text = chain(_json(payload), "\n") if args.json else (f"{line}\n" for line in lines)
-    sys.stdout.writelines(text)
-    return 0
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, Iterable[str]]:
     word = words.cycle_word(parse_perm(args.perm))
     classes = dict(zip(("R", "Rbar", "K"), map(sorted, letter_sets(word, "rRk"))))
     lines = [name + ": " + " ".join(map(str, members)) for name, members in classes.items()]
     lines.append("word: " + word)
-    return _emit(args, {**classes, "word": word}, lines)
+    return {**classes, "word": word}, lines
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args) -> tuple[dict, Iterable[str]]:
     # run the oracle first so its size guard fires before the listing starts
     oracle = inversion.perms_from_word_oracle(args.word, args.cap) if args.oracle else None
     perms = inversion.perms_from_word(args.word, args.cap)
@@ -90,17 +89,17 @@ def _cmd_invert(args) -> int:
         status = "MATCH" if oracle == perms else "MISMATCH"
         payload["oracle"] = status
         lines = chain(lines, [f"oracle: {status}"])
-    return _emit(args, payload, lines)
+    return payload, lines
 
 
-def _cmd_bword(args) -> int:
+def _cmd_bword(args) -> tuple[dict, Iterable[str]]:
     b = bdiagram.parse_bdiagram(args.bdiagram)
     word, arcs = bdiagram.block_word(b), b.arc_notation()
     payload = {"word": word, "arcs": arcs, "blocks": b.blocks}
-    return _emit(args, payload, ["word: " + word, "arcs: " + arcs])
+    return payload, ["word: " + word, "arcs: " + arcs]
 
 
-def _cmd_validate_word(args) -> int:
+def _cmd_validate_word(args) -> tuple[dict, Iterable[str]]:
     result = bdiagram.validate_block_word(args.word)
     if result.ok:
         payload = {"valid": True, "witness": str(result.witness)}
@@ -108,14 +107,14 @@ def _cmd_validate_word(args) -> int:
     else:
         payload = {"valid": False, "reason": result.reason.value}
         lines = [f"Invalid: {result.reason.value}"]
-    return _emit(args, payload, lines)
+    return payload, lines
 
 
-def _cmd_generators(args) -> int:
+def _cmd_generators(args) -> tuple[dict, Iterable[str]]:
     b = bdiagram.parse_bdiagram(args.bdiagram)
     if not args.list:
         count = generation.count_generators(b)
-        return _emit(args, {"count": count}, [str(count)])
+        return {"count": count}, [str(count)]
     methods = {
         "blocks": generation.enumerate_generators,
         "table": generation.complete_table,
@@ -123,31 +122,31 @@ def _cmd_generators(args) -> int:
     }
     perms = methods[args.method](b, args.cap)
     payload = {"count": len(perms), "method": args.method, "perms": perms}
-    return _emit(args, payload, _rows(perms, " "))
+    return payload, _rows(perms, " ")
 
 
-def _cmd_cutset(args) -> int:
+def _cmd_cutset(args) -> tuple[dict, Iterable[str]]:
     cut = bdiagram.cut_set(parse_perm(args.perm), bdiagram.parse_bdiagram(args.bdiagram))
-    return _emit(args, {"arcs": sorted(cut), "size": len(cut)}, [arc_text(cut)])
+    return {"arcs": sorted(cut), "size": len(cut)}, [arc_text(cut)]
 
 
-def _cmd_complement(args) -> int:
+def _cmd_complement(args) -> tuple[dict, Iterable[str]]:
     p = parse_perm(args.perm)
     result = bdiagram.complement(p, bdiagram.parse_bdiagram(args.bdiagram))
-    return _emit(args, {"blocks": result.blocks}, [str(result)])
+    return {"blocks": result.blocks}, [str(result)]
 
 
-def _cmd_crossing(args) -> int:
+def _cmd_crossing(args) -> tuple[dict, Iterable[str]]:
     value = bdiagram.max_crossing(bdiagram.parse_bdiagram(args.bdiagram))
-    return _emit(args, {"max_crossing": value}, [str(value)])
+    return {"max_crossing": value}, [str(value)]
 
 
-def _cmd_inflate(args) -> int:
+def _cmd_inflate(args) -> tuple[dict, Iterable[str]]:
     word = words.inflate(args.word)
-    return _emit(args, {"word": word}, [word])
+    return {"word": word}, [word]
 
 
-def _cmd_edit(args) -> int:
+def _cmd_edit(args) -> tuple[dict, Iterable[str]]:
     b = bdiagram.parse_bdiagram(args.bdiagram)
     if args.op == "add":
         result = bdiagram.add_arc(b, (args.i, args.j))
@@ -155,10 +154,10 @@ def _cmd_edit(args) -> int:
         result = bdiagram.remove_arc(b, (args.i, args.j))
     else:
         result = bdiagram.transpose_labels(b, args.i, args.j)
-    return _emit(args, {"blocks": result.blocks}, [str(result)])
+    return {"blocks": result.blocks}, [str(result)]
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple[dict, Iterable[str]]:
     from . import render  # here, so that no other command compiles it
 
     if args.kind == "perm":
@@ -173,7 +172,7 @@ def _cmd_render(args) -> int:
     else:
         art = render.render_ascii(word, dialect, args.cap)
     payload = {"kind": args.kind, "word": word, "art": art}
-    return _emit(args, payload, [art])
+    return payload, [art]
 
 
 def census_report(n: int, cap: int = DEFAULT_CAP):
@@ -184,11 +183,11 @@ def census_report(n: int, cap: int = DEFAULT_CAP):
     return census.census_report(n, cap)
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[dict, Iterable[str]]:
     from .census import census_json, census_lines
 
     report = census_report(args.n, args.cap)
-    return _emit(args, census_json(report), census_lines(report))
+    return census_json(report), census_lines(report)
 
 
 # ------------------------------------------------------------------ parsing
@@ -325,7 +324,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _plain_args(argv) or build_parser().parse_args(argv)
-        return args.func(args)
+        payload, lines = args.func(args)  # ``lines`` may be lazy: read only for text
+        text = chain(_json(payload), "\n") if args.json else _joined(lines, "\n", "", "\n")
+        sys.stdout.writelines(text)
+        return 0
     except SystemExit as exc:  # argparse's usage errors and --help
         return 0 if exc.code in (0, None) else 1
     except DiagramError as exc:

@@ -1,12 +1,12 @@
 """The heavy cases: the worst known inputs of the command line, one row each.
 
 A row gives a command's arguments after the interpreter, the exit code it
-must end with, the count it must list under ``"perms"`` (or None), and a
-bound on its wall time and on its own peak RSS, each about three times a
-median of three runs on a 2-core x86-64 host under Python 3.11, and no wall
-bound under 0.5 s; a known-slow row's wall bound is the 10 s that no
-command may take.  Each argument stays within the 131,072 bytes that Linux
-allows one command-line argument.
+must end with, the count it must list under ``"perms"`` (as text, its lines;
+or None), and a bound on its wall time and on its own peak RSS, each about
+three times a median of three runs on a 2-core x86-64 host under Python
+3.11, and no wall bound under 0.5 s; a known-slow row's wall bound is the
+10 s that no command may take.  Each argument stays within the 131,072
+bytes that Linux allows one command-line argument.
 
 ``tests/test_heavy_cases.py`` runs every row once in tier-1 and holds it to
 its exit code, its count, its stderr line and both bounds, stopping it at
@@ -107,7 +107,7 @@ class HeavyCase(NamedTuple):
     name: str
     argv: list[str]  # the arguments after the interpreter
     code: int  # the exit code
-    perms: int | None  # the count listed under "perms", or None
+    perms: int | None  # the count listed under "perms" (as text, its lines), or None
     wall_s: float  # the wall bound, at which tier-1 stops the command
     peak_mb: float  # the own-peak bound, in MiB
     runs: int = 1  # runs in the report, whose median it prints
@@ -184,6 +184,7 @@ CASES = [
     # a word with many k
     HeavyCase("invert rrkkkkkkkkRR --json", [*CLI, "invert", "rrkkkkkkkkRR", "--json"], 0,
               131_072, 1.5, 150),
+    HeavyCase("invert rrkkkkkkkkRR", [*CLI, "invert", "rrkkkkkkkkRR"], 0, 131_072, 1.7, 150),
     # the brute-force oracle at its largest n: all 9! sequences from 1 scanned for
     # 2 * 8! generators
     HeavyCase('generators "1 2 | 3 | 4 | ... | 10" --list --method oracle --json',
@@ -192,6 +193,8 @@ CASES = [
     # nine singletons: 8! generators, each cycle arranged once by blocks
     HeavyCase('generators "1 | 2 | ... | 9" --list --json',
               [*CLI, "generators", _SINGLETONS, "--list", "--json"], 0, 40_320, 0.8, 75),
+    HeavyCase('generators "1 | 2 | ... | 9" --list',
+              [*CLI, "generators", _SINGLETONS, "--list"], 0, 40_320, 0.7, 65),
     HeavyCase('generators "1 | 2 | ... | 9" --list --method table --json',
               [*CLI, "generators", _SINGLETONS, "--list", "--method", "table", "--json"], 0,
               40_320, 1.2, 75),
@@ -203,6 +206,10 @@ CASES = [
     HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list --method table --json',
               [*CLI, "generators", _ONE_PAIR, "--list", "--method", "table", "--json"], 0,
               725_760, 13.5, 460, ci_only=_LISTING_725760),
+    # the same by blocks, as text
+    HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list',
+              [*CLI, "generators", _ONE_PAIR, "--list"], 0, 725_760, 8.5, 470,
+              ci_only=_LISTING_725760),
     # refused once the search passes the recursion limit: 15999! (about 60,300
     # digits) is within the cap, so the search starts
     HeavyCase('generators "1 | 2 | ... | 16000" --list --method table --cap <61,000 nines>',
@@ -243,8 +250,10 @@ def run_case(case, timeout=0):
     code, out, err, peak_kib, wall_s = run_own_peak(case.argv, timeout=timeout)
     if code != case.code:
         return f"{case.name} exited {code}, not {case.code}: {err}", wall_s, peak_kib
-    if case.perms is not None and len(json.loads(out)["perms"]) != case.perms:
-        return f"{case.name} did not list {case.perms:,} permutations", wall_s, peak_kib
+    if case.perms is not None:
+        listed = len(json.loads(out)["perms"]) if "--json" in case.argv else out.count("\n")
+        if listed != case.perms:
+            return f"{case.name} did not list {case.perms:,} permutations", wall_s, peak_kib
     if case.error is not None and not (err.startswith(case.error) and err.count("\n") == 1):
         return f"{case.name} wrote {err[:200]!r}, not one line {case.error}...", wall_s, peak_kib
     return None, wall_s, peak_kib

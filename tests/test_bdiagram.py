@@ -30,6 +30,7 @@ from arcdiagrams import (
     cut_set,
     degree_vector,
     max_crossing,
+    motzkin_number,
     parse_bdiagram,
     parse_perm,
     remove_arc,
@@ -61,6 +62,21 @@ from conftest import (
 BRAID = "3 1 6 | 2 7 8 | 4 5"
 SPARSE = "1 3 | 2 | 4 8 | 5 6 | 7"
 SIGMA = "1 3 2 7 8 4 5 6"
+
+
+def matchings(points, partial=False):
+    """Every matching of ``points`` as 2-vertex blocks, and if ``partial`` each
+    unmatched point as a block of its own."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    if partial:
+        for tail in matchings(rest, partial):
+            yield ((first,), *tail)
+    for t, partner in enumerate(rest):
+        for tail in matchings(rest[:t] + rest[t + 1 :], partial):
+            yield ((first, partner), *tail)
 
 
 class TestParse:
@@ -515,15 +531,6 @@ class TestMaxCrossing:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_perfect_matching_closed_forms(self, m):
         # every perfect matching of 2m points as m 2-vertex blocks, (2m - 1)!! of them
-        def matchings(points):
-            if not points:
-                yield ()
-                return
-            first, rest = points[0], points[1:]
-            for t, partner in enumerate(rest):
-                for tail in matchings(rest[:t] + rest[t + 1 :]):
-                    yield ((first, partner), *tail)
-
         joint = collections.Counter()
         for blocks in matchings(tuple(range(1, 2 * m + 1))):
             b = BDiagram(blocks)
@@ -541,6 +548,30 @@ class TestMaxCrossing:
         # crossings and nestings are distributed symmetrically (Chen et al. 2007); on
         # b-diagrams in general they are not
         assert joint == collections.Counter({(ne, cr): c for (cr, ne), c in joint.items()})
+
+    def test_partial_matching_oracles(self):
+        # every partial matching of [n], its pairs and singletons the blocks; a
+        # noncrossing one with no arc (i, i + 1) is an RNA secondary structure
+        counts = []
+        for n in range(3, 11):
+            seen = [
+                (max_crossing(BDiagram(blocks)), any(b[-1] - b[0] == 1 for b in blocks))
+                for blocks in matchings(tuple(range(1, n + 1)), partial=True)
+            ]
+            counts.append((
+                len(seen),
+                sum(crossing <= 1 for crossing, _ in seen),
+                sum(crossing <= 1 and not hairpin for crossing, hairpin in seen),
+                sum(crossing <= 2 for crossing, _ in seen),
+            ))
+        every, noncrossing, secondary, two_noncrossing = map(list, zip(*counts))
+        # the involution numbers
+        assert every == [4, 10, 26, 76, 232, 764, 2620, 9496]
+        assert noncrossing == [motzkin_number(n) for n in range(3, 11)]
+        assert noncrossing == [4, 9, 21, 51, 127, 323, 835, 2188]
+        # Waterman, "Secondary structure of single-stranded nucleic acids" (1978)
+        assert secondary == [2, 4, 8, 17, 37, 82, 185, 423]
+        assert two_noncrossing == [4, 10, 26, 75, 225, 715, 2347, 7990]
 
 
 class TestEdits:

@@ -25,6 +25,7 @@ from arcdiagrams import (
     cycle_word,
     parse_bdiagram,
     parse_perm,
+    perms_from_word,
 )
 from arcdiagrams.census import census_report
 from arcdiagrams.cli import _COMMANDS, _COMMON, _json, _plain_args, build_parser, main
@@ -135,8 +136,11 @@ class TestInvert:
         assert code == 0 and len(out.splitlines()) == 4
 
     def test_oracle_match(self, capsys):
-        code, out, _ = run(capsys, "invert", "--oracle", "rkR")
-        assert code == 0 and out.splitlines()[-1] == "oracle: MATCH"
+        # rrkkkkkkRR's 8,192 rows span two of the writer's 4,096-line pieces
+        for word in ("rkR", "rrkkkkkkRR"):
+            code, out, _ = run(capsys, "invert", "--oracle", word)
+            rows = [" ".join(map(str, perm.seq)) for perm in perms_from_word(word)]
+            assert code == 0 and out == "".join(f"{row}\n" for row in [*rows, "oracle: MATCH"])
 
     def test_bad_word(self, capsys):
         code, _, err = run(capsys, "invert", "rR")
