@@ -292,12 +292,7 @@ def _blocks_from_arcs(n: int, arcs: frozenset[Arc]) -> BDiagram:
     arcs, the arcs contain a cycle, or a single path swallows all n
     vertices.
     """
-    try:
-        paths = trace_paths(n, arcs)
-    except ValueError as exc:
-        raise NotRepresentable("a vertex would meet more than two arcs") from exc
-    if paths is None:
-        raise NotRepresentable("arcs contain a cycle")
+    paths = trace_paths(n, arcs)
     if len(paths) == 1:
         raise NotRepresentable("the arcs form a single path of all vertices")
     return BDiagram(paths)

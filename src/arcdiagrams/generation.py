@@ -62,11 +62,12 @@ def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
     check_cap(expected, cap, "generators")
     head, *rest = sorted(b.blocks, key=len, reverse=True)  # stable: a path leads
     variants = [(block,) if len(block) == 1 else (block, block[::-1]) for block in rest]
-    cycles = []
-    for order in itertools.permutations(range(len(rest))):
-        if len(head) > 1 or order[0] < order[-1]:
-            for choice in itertools.product(*[variants[i] for i in order]):
-                cycles.append(head + tuple(v for block in choice for v in block))
+    cycles = (
+        head + tuple(v for block in choice for v in block)
+        for order in itertools.permutations(range(len(rest)))
+        if len(head) > 1 or order[0] < order[-1]
+        for choice in itertools.product(*[variants[i] for i in order])
+    )
     return sorted_perms(cycles, expected, f"arrangements of {b}")
 
 
@@ -176,7 +177,7 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
     mine, theirs = b.arcs(), other.arcs()
     union = mine | theirs
     try:
-        walks = trace_paths(b.n, union) or [spanning_cycle(b.n, union)]
+        walks = trace_paths(b.n, union) if len(union) < b.n else [spanning_cycle(b.n, union)]
     except ValueError:  # a vertex meets three arcs, or a cycle misses one
         walks = []
     shared: tuple[CyclicPerm, ...] = ()

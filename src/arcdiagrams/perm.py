@@ -97,8 +97,8 @@ def arc_text(arcs: Iterable[Arc], isolated: Iterable[int] = ()) -> str:
 
 def _neighbours(n: int, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
     """Each vertex's first and second neighbour in arc order, 0 for none: the
-    neighbour table that every walk reads.  Raises ``ValueError`` at the first
-    vertex found to meet three or more arcs."""
+    neighbour table that every walk reads.  Raises :class:`NotRepresentable`
+    at the first vertex found to meet three or more arcs."""
     first = [0] * (n + 1)
     second = [0] * (n + 1)
     for i, j in arcs:
@@ -107,13 +107,13 @@ def _neighbours(n: int, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
         elif not second[i]:
             second[i] = j
         else:
-            raise ValueError("a vertex meets more than two arcs")
+            raise NotRepresentable("a vertex meets more than two arcs")
         if not first[j]:
             first[j] = i
         elif not second[j]:
             second[j] = i
         else:
-            raise ValueError("a vertex meets more than two arcs")
+            raise NotRepresentable("a vertex meets more than two arcs")
     return first, second
 
 
@@ -127,15 +127,16 @@ def _walk(first: list[int], second: list[int], start: int, ahead: int) -> list[i
     return walk
 
 
-def trace_paths(n: int, arcs: Iterable[Arc]) -> list[tuple[int, ...]] | None:
+def trace_paths(n: int, arcs: Iterable[Arc]) -> list[tuple[int, ...]]:
     """The paths of an arc set on 1..n (an isolated vertex is one), each from its
-    smaller end and sorted by least vertex; ``None`` when the arcs hold a cycle.
-    Raises ``ValueError`` when a vertex meets three or more arcs.
+    smaller end and sorted by least vertex.  Raises :class:`NotRepresentable`
+    when a vertex meets three or more arcs, or the arcs hold a cycle.
 
     >>> trace_paths(5, [(1, 4), (2, 4), (3, 5)])
     [(1, 4, 2), (3, 5)]
-    >>> trace_paths(4, [(1, 2), (2, 3), (1, 3)]) is None
-    True
+    >>> trace_paths(4, [(1, 2), (2, 3), (1, 3)])
+    Traceback (most recent call last):
+    arcdiagrams.errors.NotRepresentable: arcs contain a cycle
     """
     first, second = _neighbours(n, arcs)
     far = [False] * (n + 1)
@@ -145,27 +146,27 @@ def trace_paths(n: int, arcs: Iterable[Arc]) -> list[tuple[int, ...]] | None:
             walk = _walk(first, second, start, first[start])
             far[walk[-1]] = True
             paths.append(tuple(walk))
-    if sum(map(len, paths)) < n:
-        return None  # the vertices left over lie on cycles
+    if sum(map(len, paths)) < n:  # the vertices left over lie on cycles
+        raise NotRepresentable("arcs contain a cycle")
     paths.sort(key=min)
     return paths
 
 
 def spanning_cycle(n: int, arcs: frozenset[Arc]) -> tuple[int, ...]:
     """The cycle that ``arcs`` forms through all of 1..n, walked from 1 towards
-    its smaller neighbour; ``ValueError`` unless the n arcs form just that."""
+    its smaller neighbour; :class:`NotRepresentable` unless the n arcs form just that."""
     if len(arcs) != n:
         of = " of" * (abs(n) >= 10**30)  # after a digit count, as in ``check_cap``
-        raise ValueError(f"expected {brief(n)}{of} arcs, got {len(arcs)}")
+        raise NotRepresentable(f"expected {brief(n)}{of} arcs, got {len(arcs)}")
     for i, j in arcs:
         if not (1 <= i < j <= n):
-            raise ValueError(f"bad arc ({brief(i)}, {brief(j)}) for n={n}")
+            raise NotRepresentable(f"bad arc ({brief(i)}, {brief(j)}) for n={n}")
     first, second = _neighbours(n, arcs)
     if n:  # n arcs, none at a third: every vertex meets two, so the walk returns to 1
         walk = _walk(first, second, 1, min(first[1], second[1]))
         if len(walk) == n:
             return tuple(walk)
-    raise ValueError("arcs do not form a single spanning cycle")
+    raise NotRepresentable("arcs do not form a single spanning cycle")
 
 
 @total_ordering
@@ -276,10 +277,7 @@ class CycleDiagram(_Value):
         arcs = frozenset(map(tuple, arcs))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
-        try:
-            spanning_cycle(n, arcs)
-        except ValueError as exc:
-            raise NotRepresentable(str(exc)) from None
+        spanning_cycle(n, arcs)
 
     def sorted_arcs(self) -> tuple[Arc, ...]:
         return tuple(sorted(self.arcs))

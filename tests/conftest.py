@@ -29,7 +29,7 @@ documented rules, applied in order as plain loops.
 the component walker over per-vertex neighbour lists and the
 ``CycleDiagram`` check built on it, from before the flat neighbour table;
 the reference walks cycles too, so it checks both the path walker
-``perm.trace_paths`` (its paths, or ``None`` for any cycle) and the walk
+``perm.trace_paths`` (its paths, or its refusal of any cycle) and the walk
 of ``perm.spanning_cycle``.
 ``count_perms_reference`` and ``feasibility_table_reference`` keep the
 fibre count and the realization's feasibility table from before the one
@@ -223,7 +223,7 @@ def trace_components_reference(n, arcs):
         neighbours[i].append(j)
         neighbours[j].append(i)
     if max(map(len, neighbours)) > 2:
-        raise ValueError("a vertex meets more than two arcs")
+        raise NotRepresentable("a vertex meets more than two arcs")
     seen = [False] * (n + 1)
     components = []
     for start in range(1, n + 1):
@@ -261,13 +261,13 @@ def trace_components_reference(n, arcs):
 def cycle_diagram_check_reference(n, arcs):
     """The checks ``CycleDiagram`` made through the component walker."""
     if len(arcs) != n:
-        raise ValueError(f"expected {n} arcs, got {len(arcs)}")
+        raise NotRepresentable(f"expected {n} arcs, got {len(arcs)}")
     for i, j in arcs:
         if not (1 <= i < j <= n):
-            raise ValueError(f"bad arc ({i}, {j}) for n={n}")
+            raise NotRepresentable(f"bad arc ({i}, {j}) for n={n}")
     components = trace_components_reference(n, arcs)
     if len(components) != 1 or not components[0][1]:
-        raise ValueError("arcs do not form a single spanning cycle")
+        raise NotRepresentable("arcs do not form a single spanning cycle")
 
 
 def block_word_screen(word):

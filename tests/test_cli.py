@@ -350,8 +350,12 @@ class TestDiagramCommands:
         assert code == 0 and out.strip() == "1 2 | 3 | 4 5 | 6 | 7 8"
 
     def test_complement_degenerate(self, capsys):
-        code, _, err = run(capsys, "complement", "1 2 3", "1 2 | 3")
-        assert code == 2
+        for blocks, message in [
+            ("1 2 | 3", "the arcs form a single path of all vertices"),
+            ("1 | 2 | 3", "arcs contain a cycle"),
+        ]:
+            code, out, err = run(capsys, "complement", "1 2 3", blocks)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), blocks
 
     def test_crossing(self, capsys):
         code, out, _ = run(capsys, "crossing", "1 2 | 3 6 | 4 7 | 5 8")

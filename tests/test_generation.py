@@ -251,6 +251,7 @@ class TestCommonGenerators:
         result = common_generators(wide, narrow)
         assert result.generators == enumerate_generators(narrow)
         assert result.first_in_second and not result.second_in_first
+        assert hash(result) == hash((result.generators, True, False))  # a forest's result
 
     def test_reflexive(self):
         b = parse_bdiagram(THREE_BLOCKS)
@@ -263,6 +264,7 @@ class TestCommonGenerators:
         result = common_generators(parse_bdiagram("1 2 | 3"), parse_bdiagram("2 3 | 1"))
         assert tuple(map(str, result.generators)) == ("1 2 3", "1 3 2")
         assert not result.first_in_second and not result.second_in_first
+        assert hash(result) == hash((result.generators, False, False))  # one walk's result
 
     def test_subset_direction(self):
         wide = parse_bdiagram("1 6 | 2 3 | 4 8 7 | 5")

@@ -11,6 +11,7 @@ from arcdiagrams import (
     CyclicPerm,
     NotAPermutation,
     NotNormalized,
+    NotRepresentable,
     TooSmall,
     all_cyclic_perms,
     arc_set,
@@ -223,10 +224,10 @@ class TestNeighbourTable:
 
     @staticmethod
     def paths_reference(n, arcs):
-        """The reference components' walks, or None if one is a cycle."""
+        """The reference components' walks, refused if one is a cycle."""
         components = trace_components_reference(n, arcs)
         if any(is_cycle for _, is_cycle in components):
-            return None
+            raise NotRepresentable("arcs contain a cycle")
         return [walk for walk, _ in components]
 
     @pytest.mark.parametrize("n", range(0, 7))
