@@ -25,7 +25,7 @@ _NAMES = {
         count_generators enumerate_generators generators_oracle""",
     "inversion": """canonical_half count_perms_from_word neighbor_candidates
         perms_from_word perms_from_word_oracle""",
-    "perm": """Arc Classification CycleDiagram CyclicPerm all_cyclic_perms arc_set
+    "perm": """Arc Classification CycleDiagram CyclicPerm Listing all_cyclic_perms arc_set
         arc_text classify parse_perm""",
     "words": """StepPath WordPredicates catalan_number check_cycle_word cycle_word
         degree_vector dyck_parity_word inflate motzkin_number path_steps reindex_word

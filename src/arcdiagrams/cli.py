@@ -9,12 +9,12 @@ from __future__ import annotations
 import os
 import sys
 import types
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable
 
 from . import bdiagram, generation, inversion, words
 from .errors import DEFAULT_CAP, DiagramError
-from .perm import CyclicPerm, arc_text, letter_sets, parse_perm
+from .perm import Listing, arc_text, letter_sets, parse_perm
 
 
 # ----------------------------------------------------------------- commands
@@ -32,24 +32,34 @@ _ESCAPES = _Escapes({code: code for code in range(0x20, 0x7F)})
 _ESCAPES.update(zip(b'"\\\b\f\n\r\t', map("\\".__add__, '"\\bfnrt')))
 
 
-def _rows(perms, sep: str):
-    """A listing's rows (CyclicPerms of one n), each its entries joined by ``sep``."""
-    names = [str(v) for v in range(perms[0].n + 1 if perms else 0)].__getitem__
-    return (sep.join(map(names, perm.seq)) for perm in perms)
-
-
-def _joined(items, sep: str, head: str, tail: str):
-    """Yield ``head + sep.join(items) + tail``, items never empty, 4,096 items a piece."""
-    items = iter(items)
-    while piece := list(islice(items, 4096)):
-        yield head + sep.join(piece)
-        head = sep
+def _joined(items, sep: str, head: str, tail: str, between: str = " "):
+    """Yield ``head + sep.join(lines) + tail`` in pieces, where ``items`` holds
+    lines and listings: a listing stands for its rows, each its entries joined
+    by ``between``, 4,096 rows a piece, and each run of lines is one piece."""
+    lines = []
+    for item in chain(items, [None]):  # None: no more items
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        if lines:
+            yield head + sep.join(lines)
+            head, lines = sep, []
+        if item:
+            names = [str(v) for v in range(item.n + 1)].__getitem__  # one table per listing
+            marker = between + "1" + between
+            for at in range(0, len(item), 4096):
+                entries = item.entries(b"".join(item.rows[at : at + 4096]))
+                # every row starts at vertex 1 and holds it once, so each
+                # between-1-between marks a row's start
+                yield head + between.join(map(names, entries)).replace(marker, sep + "1" + between)
+                head = sep
     yield tail
 
 
 def _json(value):
-    """Yield ``json.dumps(value, default=lambda perm: perm.seq)`` in pieces, a
-    listing 4,096 rows a piece; raise TypeError on a type no payload holds."""
+    """Yield ``json.dumps(value, default=lambda listing: [p.seq for p in listing])``
+    in pieces, a listing 4,096 rows a piece; raise TypeError on a type no payload
+    holds."""
     if isinstance(value, int):  # json writes a bool as true or false, not as 1 or 0
         yield ("false", "true")[value] if value.__class__ is bool else int.__repr__(value)
     elif isinstance(value, str):
@@ -59,9 +69,9 @@ def _json(value):
             yield f'{", " if i else "{"}"{str.translate(key, _ESCAPES)}": '
             yield from _json(item)
         yield "}" if value else "{}"
-    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], CyclicPerm):
-        yield from _joined(_rows(value, ", "), "], [", "[[", "]]")
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, Listing) and value:
+        yield from _joined([value], "], [", "[[", "]]", ", ")
+    elif isinstance(value, (list, tuple, Listing)):
         for i, item in enumerate(value):
             yield ", " if i else "["
             yield from _json(item)
@@ -78,17 +88,17 @@ def _cmd_classify(args) -> tuple[dict, Iterable[str]]:
     return {**classes, "word": word}, lines
 
 
-def _cmd_invert(args) -> tuple[dict, Iterable[str]]:
+def _cmd_invert(args) -> tuple[dict, list]:
     # run the oracle first so its size guard fires before the listing starts
     oracle = inversion.perms_from_word_oracle(args.word, args.cap) if args.oracle else None
     perms = inversion.perms_from_word(args.word, args.cap)
     shown = inversion.canonical_half(perms) if args.canonical_half else perms
     payload = {"word": args.word, "perms": shown}
-    lines: Iterable[str] = _rows(shown, " ")
+    lines = [shown]
     if oracle is not None:
-        status = "MATCH" if oracle == perms else "MISMATCH"
+        status = "MATCH" if perms == oracle else "MISMATCH"
         payload["oracle"] = status
-        lines = chain(lines, [f"oracle: {status}"])
+        lines.append(f"oracle: {status}")
     return payload, lines
 
 
@@ -110,7 +120,7 @@ def _cmd_validate_word(args) -> tuple[dict, Iterable[str]]:
     return payload, lines
 
 
-def _cmd_generators(args) -> tuple[dict, Iterable[str]]:
+def _cmd_generators(args) -> tuple[dict, list]:
     b = bdiagram.parse_bdiagram(args.bdiagram)
     if not args.list:
         count = generation.count_generators(b)
@@ -121,8 +131,10 @@ def _cmd_generators(args) -> tuple[dict, Iterable[str]]:
         "oracle": generation.generators_oracle,
     }
     perms = methods[args.method](b, args.cap)
+    if args.method == "oracle":  # a tuple, which the writer takes as a listing
+        perms = Listing.of(perms, b.n)
     payload = {"count": len(perms), "method": args.method, "perms": perms}
-    return payload, _rows(perms, " ")
+    return payload, [perms]
 
 
 def _cmd_cutset(args) -> tuple[dict, Iterable[str]]:

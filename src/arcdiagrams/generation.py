@@ -22,8 +22,10 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .bdiagram import BDiagram
-from .errors import DEFAULT_CAP, SizeMismatch, TooSmall, check_cap, check_scan, too_deep
-from .perm import Arc, CyclicPerm, sorted_perms, spanning_cycle, trace_paths
+from .errors import (
+    DEFAULT_CAP, NotRepresentable, SizeMismatch, TooSmall, check_cap, check_scan, too_deep
+)
+from .perm import Arc, CyclicPerm, Listing, sorted_perms, spanning_cycle, trace_paths
 
 
 def canonical_generator(b: BDiagram) -> CyclicPerm:
@@ -49,8 +51,9 @@ def count_generators(b: BDiagram) -> int:
     return 2 ** (m - l) * factorial(m - 1)
 
 
-def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
-    """All generators by arranging blocks, sorted lexicographically.
+def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> Listing:
+    """All generators by arranging blocks, sorted lexicographically, as a
+    :class:`~arcdiagrams.perm.Listing`.
 
     The longest block keeps its place, walked one way if it is a path; the
     others are permuted and each non-singleton one may be reversed.  With no
@@ -94,8 +97,9 @@ def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, 
     return tuple(found)
 
 
-def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
-    """All generators by completing the arc table of the diagram.
+def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> Listing:
+    """All generators by completing the arc table of the diagram, as a
+    :class:`~arcdiagrams.perm.Listing`.
 
     The diagram provides n - m arcs; every way of adding m more arcs so that
     each vertex meets exactly two and the result is a single spanning cycle
@@ -178,13 +182,13 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
     union = mine | theirs
     try:
         walks = trace_paths(b.n, union) if len(union) < b.n else [spanning_cycle(b.n, union)]
-    except ValueError:  # a vertex meets three arcs, or a cycle misses one
+    except NotRepresentable:  # a vertex meets three arcs, or a cycle misses one
         walks = []
     shared: tuple[CyclicPerm, ...] = ()
     if len(walks) == 1:  # a path or cycle through all n >= 3 vertices
-        shared = sorted_perms(walks, 2, f"cycles through {b}")
-    elif walks:
-        shared = enumerate_generators(BDiagram(walks))
+        shared = tuple(sorted_perms(walks, 2, f"cycles through {b}"))
+    elif walks:  # a tuple, so that the result hashes
+        shared = tuple(enumerate_generators(BDiagram(walks)))
     return CommonGenerators(
         generators=shared,
         first_in_second=mine <= theirs,

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import factorial
-from typing import Iterable
 
 from .errors import DEFAULT_CAP, brief, check_cap, check_scan, too_deep
-from .perm import Classification, CyclicPerm, all_cyclic_perms, sorted_perms
+from .perm import Classification, CyclicPerm, Listing, all_cyclic_perms, sorted_perms
 from .words import check_cycle_word, cycle_word
 
 
@@ -88,8 +87,9 @@ def count_perms_from_word(word: str, cap: int | None = None) -> int:
     return count
 
 
-def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
-    """All cyclic permutations whose word is ``word``, in lexicographic order.
+def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> Listing:
+    """All cyclic permutations whose word is ``word``, in lexicographic order, as a
+    :class:`~arcdiagrams.perm.Listing`.
 
     Sweeps the vertices left to right over the open paths, as walks:
     ``r`` starts ``(v,)``, ``k`` appends v at either end of one walk, ``R``
@@ -149,6 +149,6 @@ def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
     return tuple(p for p in all_cyclic_perms(n) if cycle_word(p) == word)
 
 
-def canonical_half(perms: Iterable[CyclicPerm]) -> tuple[CyclicPerm, ...]:
-    """One permutation per reversal pair: those with second entry < last."""
-    return tuple(p for p in perms if p.seq[1] < p.seq[-1])
+def canonical_half(perms: Listing) -> Listing:
+    """One permutation per reversal pair of a listing: those with second entry < last."""
+    return Listing([row for row in perms.rows if (e := perms.entries(row))[1] < e[-1]], perms.n)

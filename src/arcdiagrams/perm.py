@@ -25,8 +25,10 @@ arc diagram.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import total_ordering
 from operator import lt
+from struct import pack, unpack
 from typing import Iterable, Iterator
 
 from .errors import NotAPermutation, NotNormalized, NotRepresentable, OutOfRange, TooSmall, brief
@@ -48,7 +50,7 @@ class _Value:
 
     Where the fields are valid by construction, internal code builds the value
     by ``object.__new__`` and ``object.__setattr__`` on each slot, skipping the
-    checks in ``__init__`` (see :func:`all_cyclic_perms`, :func:`sorted_perms`
+    checks in ``__init__`` (see :func:`all_cyclic_perms`, :class:`Listing`
     and :func:`arc_set`)."""
 
     __slots__ = ()
@@ -219,7 +221,75 @@ class CyclicPerm(_Value):
         return " ".join(str(v) for v in self.seq)
 
 
-def sorted_perms(cycles: Iterable, expected: int, what: str) -> tuple[CyclicPerm, ...]:
+_CODE = {1: "B", 2: "H", 4: "I"}  # by a row's width: the struct code of one vertex
+
+
+class Listing(Sequence):
+    """A read-only sequence of the ``CyclicPerm``s of one n, held as packed rows:
+    each perm's entries as bytes, one a vertex up to n = 255, else two (four
+    past 65,535), big-endian, so that rows sort as the perms do.  A row becomes
+    a ``CyclicPerm`` only when it is read.  Equal to a ``Listing`` with the same
+    rows and to a tuple of the same perms; unhashable, as a list is.
+
+    >>> perms = CyclicPerm((1, 2, 3)), CyclicPerm((1, 3, 2))
+    >>> listing = Listing.of(perms, 3)
+    >>> listing.rows, listing[1], listing == perms
+    ([b'\\x01\\x02\\x03', b'\\x01\\x03\\x02'], CyclicPerm(seq=(1, 3, 2)), True)
+    """
+
+    __slots__ = ("rows", "n", "width")
+
+    def __init__(self, rows: list[bytes], n: int):
+        self.rows = rows  # each a CyclicPerm's entries, packed as above
+        self.n = n
+        self.width = 1 if n < 0x100 else 2 if n < 0x10000 else 4
+
+    @classmethod
+    def of(cls, perms: Iterable[CyclicPerm], n: int) -> Listing:
+        """``perms``, ``CyclicPerm``s of n entries, as a listing in their order."""
+        listing = cls([], n)
+        listing.rows += (listing.pack(p.seq) for p in perms)
+        return listing
+
+    def pack(self, entries: Sequence[int]) -> bytes:
+        """The n ``entries`` of a row, packed."""
+        if self.width == 1:
+            return bytes(entries)
+        return pack(f">{self.n}{_CODE[self.width]}", *entries)
+
+    def entries(self, data: bytes) -> Sequence[int]:
+        """The entries packed in ``data``, a row or rows joined: up to n = 255,
+        the bytes themselves, which iterate as ints."""
+        if self.width == 1:
+            return data
+        return unpack(f">{len(data) // self.width}{_CODE[self.width]}", data)
+
+    def _perm(self, row: bytes) -> CyclicPerm:
+        p = object.__new__(CyclicPerm)  # valid by construction
+        object.__setattr__(p, "seq", tuple(self.entries(row)))
+        return p
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Listing(self.rows[i], self.n)
+        return self._perm(self.rows[i])
+
+    def __iter__(self) -> Iterator[CyclicPerm]:
+        return map(self._perm, self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, Listing):
+            return self.rows == other.rows  # a row's length fixes n
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self):
+        return f"Listing({tuple(self)!r})"
+
+
+def sorted_perms(cycles: Iterable, expected: int, what: str) -> Listing:
     """Each of ``cycles`` walked both ways from 1, in lexicographic order:
     the one tail of every listing route, and the one home of a row's form.
 
@@ -231,18 +301,29 @@ def sorted_perms(cycles: Iterable, expected: int, what: str) -> tuple[CyclicPerm
     >>> [str(p) for p in sorted_perms([(2, 3, 1)], 2, "cycles")]
     ['1 2 3', '1 3 2']
     """
-    found = []
-    for walk in cycles:
-        at = walk.index(1)
-        walk = walk[at:] + walk[:at]
-        found += walk, walk[:1] + walk[:0:-1]
-    found.sort()
-    if len(found) != expected or not all(map(lt, found, found[1:])):
-        raise RuntimeError(f"{what}: {len(found)} listed, not {expected} distinct")
-    perms = [object.__new__(CyclicPerm) for _ in found]
-    for p, seq in zip(perms, found):  # valid by construction
-        object.__setattr__(p, "seq", seq)
-    return tuple(perms)
+    cycles = iter(cycles)
+    first = next(cycles, ())
+    n = len(first)
+    walks = itertools.chain([first], cycles) if n else ()
+    rows: list[bytes] = []
+    listing = Listing(rows, n)
+    # a walk twice over holds both walks from 1: on from its first 1, and back
+    # from its second
+    if listing.width == 1:
+        for walk in walks:
+            row = bytes(walk)
+            at = row.index(1)
+            row += row
+            rows += row[at : at + n], row[at + n : at : -1]
+    else:
+        for walk in walks:
+            at = walk.index(1)
+            walk += walk
+            rows += listing.pack(walk[at : at + n]), listing.pack(walk[at + n : at : -1])
+    rows.sort()
+    if len(rows) != expected or not all(map(lt, rows, rows[1:])):
+        raise RuntimeError(f"{what}: {len(rows)} listed, not {expected} distinct")
+    return listing
 
 
 def parse_perm(text: str) -> CyclicPerm:

@@ -25,12 +25,25 @@ Each command compiles ``src/`` as it finds it; to time it as the benchmark
 does, remove ``src/arcdiagrams/__pycache__`` and set
 ``PYTHONDONTWRITEBYTECODE=1`` first.
 
+With ``--compare PARENT_TREE [--runs N] [--rows SUBSTRING]`` it compares
+this tree with the checkout ``PARENT_TREE`` instead.  For every row that is
+not known slow and whose name holds ``SUBSTRING`` (any, by default), it runs
+both trees N times (5 by default), alternating which goes first, and prints
+one row of a Markdown table: each side's median wall time and median own
+peak RSS, the ratio of the medians, how many pairs this tree ran faster, and
+the geometric-mean ratio of the pairs with a 95% bootstrap interval.  It adds
+evidence and holds no bound; it fails only as the report does::
+
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python tests/heavy_cases.py --compare ../parent
+
 ``run_own_peak`` runs every command, and the tests' other spawned commands,
 from a small launcher that times it, stops it at a timeout and reads its own
 peak RSS.
 """
 
+import argparse
 import json
+import math
 import os
 import random
 import statistics
@@ -76,8 +89,8 @@ print(*{"json", "argparse", "gettext", "locale"} & set(sys.modules))
 """
 
 
-def run_own_peak(args, input=None, timeout=0):
-    """Run ``python *args`` with this repository's ``src`` on its path, and
+def run_own_peak(args, input=None, timeout=0, src=REPO / "src"):
+    """Run ``python *args`` with ``src`` (this repository's) on its path, and
     return its exit code, stdout, stderr, own peak RSS in KiB and wall time
     in seconds.  A command still running after ``timeout`` seconds (0: no
     limit) is killed, and its exit code reads -9.
@@ -87,7 +100,7 @@ def run_own_peak(args, input=None, timeout=0):
     alike.  So the command is spawned by a small launcher process, and
     carries over only the launcher's few megabytes.
     """
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env = dict(os.environ, PYTHONPATH=str(src))
     read, write = os.pipe()
     try:
         launcher = subprocess.run(
@@ -112,7 +125,6 @@ class HeavyCase(NamedTuple):
     peak_mb: float  # the own-peak bound, in MiB
     runs: int = 1  # runs in the report, whose median it prints
     error: str | None = None  # the start of the one line it writes to stderr, or None
-    ci_only: str | None = None  # why tier-1 leaves the row to the report
     known_slow: str | None = None  # why tier-1 expects the row to fail its bound
 
 
@@ -146,7 +158,6 @@ _BWORD = "a" * 30_000 + "r" * 30_000 + "R" * 30_000 + "A" * 30_000
 # one 2-vertex block and nine singletons
 _ONE_PAIR = " | ".join(["1 2", *map(str, range(3, 12))])
 _SINGLETONS = " | ".join(map(str, range(1, 10)))
-_LISTING_725760 = "the 725,760 listings run in CI only until ROADMAP item 11 or 6 brings them down"
 
 CASES = [
     HeavyCase("python -c pass", ["-c", "pass"], 0, None, 0.5, 40, runs=15),
@@ -183,8 +194,8 @@ CASES = [
     HeavyCase("census 10 --json", [*CLI, "census", "10", "--json"], 0, None, 5.1, 45),
     # a word with many k
     HeavyCase("invert rrkkkkkkkkRR --json", [*CLI, "invert", "rrkkkkkkkkRR", "--json"], 0,
-              131_072, 1.5, 150),
-    HeavyCase("invert rrkkkkkkkkRR", [*CLI, "invert", "rrkkkkkkkkRR"], 0, 131_072, 1.7, 150),
+              131_072, 0.9, 100),
+    HeavyCase("invert rrkkkkkkkkRR", [*CLI, "invert", "rrkkkkkkkkRR"], 0, 131_072, 0.85, 100),
     # the brute-force oracle at its largest n: all 9! sequences from 1 scanned for
     # 2 * 8! generators
     HeavyCase('generators "1 2 | 3 | 4 | ... | 10" --list --method oracle --json',
@@ -200,16 +211,14 @@ CASES = [
               40_320, 1.2, 75),
     # 2 * 9! generators, near the cap
     HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list --json',
-              [*CLI, "generators", _ONE_PAIR, "--list", "--json"], 0, 725_760, 10.5, 470,
-              ci_only=_LISTING_725760),
+              [*CLI, "generators", _ONE_PAIR, "--list", "--json"], 0, 725_760, 6.2, 180),
     # the same diagram by completing its arc table
     HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list --method table --json',
               [*CLI, "generators", _ONE_PAIR, "--list", "--method", "table", "--json"], 0,
-              725_760, 13.5, 460, ci_only=_LISTING_725760),
+              725_760, 10.4, 180),
     # the same by blocks, as text
     HeavyCase('generators "1 2 | 3 | 4 | ... | 11" --list',
-              [*CLI, "generators", _ONE_PAIR, "--list"], 0, 725_760, 8.5, 470,
-              ci_only=_LISTING_725760),
+              [*CLI, "generators", _ONE_PAIR, "--list"], 0, 725_760, 5.9, 180),
     # refused once the search passes the recursion limit: 15999! (about 60,300
     # digits) is within the cap, so the search starts
     HeavyCase('generators "1 | 2 | ... | 16000" --list --method table --cap <61,000 nines>',
@@ -244,10 +253,10 @@ CASES = [
 ]
 
 
-def run_case(case, timeout=0):
-    """Run ``case`` once: what went wrong (None if nothing), its wall seconds
-    and its own peak RSS in KiB."""
-    code, out, err, peak_kib, wall_s = run_own_peak(case.argv, timeout=timeout)
+def run_case(case, timeout=0, src=REPO / "src"):
+    """Run ``case`` once on ``src``: what went wrong (None if nothing), its
+    wall seconds and its own peak RSS in KiB."""
+    code, out, err, peak_kib, wall_s = run_own_peak(case.argv, timeout=timeout, src=src)
     if code != case.code:
         return f"{case.name} exited {code}, not {case.code}: {err}", wall_s, peak_kib
     if case.perms is not None:
@@ -312,5 +321,69 @@ def report():
     return "\n".join(failures) or None
 
 
+def geomean_ratio(before, after, resamples=2000, seed=1):
+    """The geometric mean of the paired ratios ``after / before``, and its 95%
+    bootstrap interval: the 2.5th and 97.5th percentiles of the geometric
+    means of ``resamples`` draws of as many pairs, with replacement."""
+    logs = [math.log(b / a) for a, b in zip(before, after)]
+    rng = random.Random(seed)
+    means = sorted(statistics.fmean(rng.choices(logs, k=len(logs))) for _ in range(resamples))
+    tail = resamples // 40
+    return tuple(map(math.exp, (statistics.fmean(logs), means[tail], means[-1 - tail])))
+
+
+def compare(parent, runs=5, rows=""):
+    """Run each row that is not known slow and whose name holds ``rows``
+    ``runs`` times on the tree ``parent`` and on this one, alternating which
+    goes first, and print a Markdown table: per row, each side's median wall
+    time and median own peak RSS, the ratio of the medians (this tree's over
+    the parent's), how many pairs this tree ran faster, and the geometric-mean
+    ratio of the pairs with its bootstrap interval.  Return the figures, one
+    dict a row, and what went wrong."""
+    trees = {"parent": Path(parent).resolve() / "src", "change": REPO / "src"}
+    print("| row | parent | change | ratio of medians | pairs faster | geometric mean [95%] |")
+    print("|---|---|---|---|---|---|")
+    results, failures = [], []
+    for case in CASES:
+        if case.known_slow or rows not in case.name:
+            continue
+        walls, peaks = {"parent": [], "change": []}, {"parent": [], "change": []}
+        for i in range(runs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                failure, wall_s, peak_kib = run_case(case, src=trees[side])
+                if failure:
+                    failures.append(f"{side}: {failure}")
+                walls[side].append(wall_s)
+                peaks[side].append(peak_kib / 1024)
+        wall, peak = ({k: statistics.median(v[k]) for k in v} for v in (walls, peaks))
+        faster = sum(after < before for before, after in zip(walls["parent"], walls["change"]))
+        geomean, low, high = geomean_ratio(walls["parent"], walls["change"])
+        results.append({"row": case.name, "runs": runs, "wall_s": wall, "peak_mb": peak,
+                        "ratio": wall["change"] / wall["parent"], "faster": faster,
+                        "geomean": geomean, "interval": [low, high]})
+        name = case.name.replace("|", "\\|")  # a bar would end the table's cell
+        print(f"| `{name}` | {wall['parent']:.3f} s, {peak['parent']:.0f} MB | "
+              f"{wall['change']:.3f} s, {peak['change']:.0f} MB | "
+              f"{results[-1]['ratio']:.3f} | {faster}/{runs} | "
+              f"{geomean:.3f} [{low:.3f}, {high:.3f}] |", flush=True)
+    return results, failures
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--compare", metavar="PARENT_TREE",
+                        help="time the rows against the checkout PARENT_TREE")
+    parser.add_argument("--runs", type=int, default=5, help="runs per tree and row")
+    parser.add_argument("--rows", default="", metavar="SUBSTRING",
+                        help="only the rows whose name holds SUBSTRING")
+    args = parser.parse_args(argv)
+    if args.compare is None:
+        return report()
+    if not (Path(args.compare) / "src" / "arcdiagrams").is_dir():
+        parser.error(f"{args.compare} holds no src/arcdiagrams")
+    _, failures = compare(args.compare, args.runs, args.rows)
+    return "\n".join(failures) or None
+
+
 if __name__ == "__main__":
-    sys.exit(report())
+    sys.exit(main())

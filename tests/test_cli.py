@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 import arcdiagrams
 from arcdiagrams import (
     CyclicPerm,
+    Listing,
     all_cyclic_perms,
     arc_set,
     block_word,
     canonical_generator,
     classify,
     cycle_word,
+    enumerate_generators,
     parse_bdiagram,
     parse_perm,
     perms_from_word,
@@ -52,6 +54,8 @@ BLOCK_ART = """\
 12 34 56"""
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# three paths on 300 vertices, 1..100, 101..255 and 256..300: 16 generators
+WIDE_ENDS = ((1, 101), (101, 256), (256, 301))
 
 
 def run(capsys, *argv):
@@ -224,6 +228,17 @@ class TestBWordAndValidate:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("method", ["blocks", "table"])
+    def test_rows_past_255_vertices(self, capsys, method):
+        # two bytes a vertex: each row, as text and as JSON, reads as its perm's entries
+        diagram = " | ".join(" ".join(map(str, range(*ends))) for ends in WIDE_ENDS)
+        rows = [p.seq for p in enumerate_generators(parse_bdiagram(diagram))]
+        code, out, _ = run(capsys, "generators", diagram, "--list", "--method", method)
+        assert code == 0 and out == "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        code, out, _ = run(capsys, "generators", diagram, "--list", "--method", method, "--json")
+        payload = {"count": 16, "method": method, "perms": [list(row) for row in rows]}
+        assert code == 0 and out == json.dumps(payload) + "\n"
+
     def test_count(self, capsys):
         code, out, _ = run(capsys, "generators", "1 4 | 2 | 3 6 | 5 8 | 7")
         assert code == 0 and out.strip() == "192"
@@ -524,8 +539,10 @@ _CHARS = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categori
 _ESCAPED = '"\\\b\f\n\r\t\x00\x1f\x7f\x80\ud800\udc80\uffff\U0001f600'
 _TEXT = st.text(_CHARS | st.sampled_from(_ESCAPED))
 _LISTINGS = st.integers(3, 8).flatmap(
-    lambda n: st.lists(st.permutations(range(2, n + 1)), min_size=1, max_size=9)
-).map(lambda rows: tuple(CyclicPerm((1, *row)) for row in rows))
+    lambda n: st.lists(st.permutations(range(2, n + 1)), max_size=9).map(
+        lambda rows: Listing.of([CyclicPerm((1, *row)) for row in rows], n)
+    )
+)
 _PAYLOADS = st.recursive(
     st.booleans() | st.integers() | st.integers(4300, 4400).map(lambda k: -(10**k) + 1)
     | _TEXT | _LISTINGS,
@@ -540,10 +557,11 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     def test_equals_json_dumps(self, payload):
         with int_str_limit(0):  # as main lifts it
-            assert "".join(_json(payload)) == json.dumps(payload, default=lambda perm: perm.seq)
+            expected = json.dumps(payload, default=lambda listing: [p.seq for p in listing])
+            assert "".join(_json(payload)) == expected
 
     def test_a_listing_spans_pieces(self):
-        perms = tuple(all_cyclic_perms(8))  # 5,040 rows: two pieces
+        perms = Listing.of(all_cyclic_perms(8), 8)  # 5,040 rows: two pieces
         pieces = list(_json(perms))
         assert len(pieces) == 3 and "".join(pieces) == json.dumps([p.seq for p in perms])
 

@@ -6,6 +6,8 @@ import pytest
 from arcdiagrams import (
     BDiagram,
     CapExceeded,
+    CyclicPerm,
+    Listing,
     SizeMismatch,
     TooLarge,
     TooSmall,
@@ -21,9 +23,13 @@ from arcdiagrams import (
     generators_oracle,
     parse_bdiagram,
 )
+from arcdiagrams import generation
+from arcdiagrams.inversion import canonical_half
 from conftest import assert_validated_perms, random_bdiagram, random_cut, run_own_peak
 
 THREE_BLOCKS = "1 2 3 | 4 7 8 | 5 6"
+# three paths on 300 vertices, whose ends meet the one-byte boundary
+WIDE_BLOCKS = (tuple(range(1, 101)), tuple(range(101, 256)), tuple(range(256, 301)))
 THREE_BLOCKS_GENERATORS = (
     "1 2 3 4 7 8 5 6",
     "1 2 3 4 7 8 6 5",
@@ -218,13 +224,18 @@ class TestTripleAgreement:
             assert generators_oracle(b) == by_blocks
 
     def test_listed_values_equal_validated_perms(self):
-        # the routes' walks become permutations without CyclicPerm's checks
+        # the routes' rows become permutations without CyclicPerm's checks, and
+        # each route's listing equals the oracle's tuple, read either way round
         for n in range(3, 8):
             for b in all_bdiagrams(n):
-                assert_validated_perms(enumerate_generators(b))
-                assert_validated_perms(complete_table(b))
+                by_blocks, by_table = enumerate_generators(b), complete_table(b)
+                assert type(by_blocks) is type(by_table) is Listing
+                assert_validated_perms(by_blocks)
+                assert_validated_perms(by_table)
                 if n <= 6:
-                    assert_validated_perms(generators_oracle(b))
+                    oracle = generators_oracle(b)
+                    assert_validated_perms(oracle)
+                    assert by_blocks == oracle == by_table and oracle == by_blocks, b
 
     def test_table_random_beyond_n8(self):
         rng = random.Random(2718)
@@ -242,6 +253,27 @@ class TestTripleAgreement:
         b = parse_bdiagram(THREE_BLOCKS)
         for p in enumerate_generators(b):
             assert arc_set(p).arcs - cut_set(p, b) == b.arcs()
+
+    def test_rows_past_255_vertices(self):
+        # n = 300 packs two bytes a vertex; a row walked back from 1 goes on at
+        # 101, 255, 256 or 300, so the order crosses the one-byte boundary
+        b = BDiagram(WIDE_BLOCKS)
+        head, middle, last = WIDE_BLOCKS
+        cycles = [
+            CyclicPerm(head + x + y)
+            for one, other in ((middle, last), (last, middle))
+            for x in (one, one[::-1])
+            for y in (other, other[::-1])
+        ]
+        expected = tuple(sorted(cycles + [p.reverse() for p in cycles]))
+        by_blocks, by_table = enumerate_generators(b), complete_table(b)
+        assert len(expected) == count_generators(b) == 16
+        assert by_blocks.width == 2 and by_blocks.rows == sorted(by_blocks.rows)
+        assert by_blocks == by_table == expected and expected == by_table
+        assert {p.seq[1] for p in by_blocks} == {2, 101, 255, 256, 300}
+        assert_validated_perms(by_blocks)
+        half = canonical_half(by_blocks)
+        assert half == tuple(p for p in expected if p.seq[1] < p.seq[-1]) and len(half) == 8
 
 
 class TestCommonGenerators:
@@ -274,6 +306,24 @@ class TestCommonGenerators:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             common_generators(parse_bdiagram("1 2 | 3"), parse_bdiagram("1 2 | 3 | 4"))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("1 2 3 | 4", "2 4 | 1 | 3"), ("1 2 3 | 4", "1 3 | 2 | 4")],
+        ids=["three arcs at a vertex", "a cycle short of n"],
+    )
+    def test_unrepresentable_union_shares_none(self, first, second):
+        result = common_generators(parse_bdiagram(first), parse_bdiagram(second))
+        assert result.generators == ()
+
+    def test_other_faults_propagate(self, monkeypatch):
+        # only the walkers' NotRepresentable means that no generator is shared
+        def fault(n, arcs):
+            raise ValueError("an unrelated fault")
+
+        monkeypatch.setattr(generation, "trace_paths", fault)
+        with pytest.raises(ValueError, match="an unrelated fault"):
+            common_generators(parse_bdiagram("1 2 | 3 | 4"), parse_bdiagram("3 4 | 1 | 2"))
 
     def test_exhaustive_n5_against_universe(self):
         universe = [(p, arc_set(p).arcs) for p in all_cyclic_perms(5)]

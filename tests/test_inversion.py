@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 
 from arcdiagrams import (
     CapExceeded,
+    Listing,
     NotAWord,
     TooLarge,
     all_cyclic_perms,
@@ -229,7 +230,8 @@ class TestCount:
             groups.setdefault(value_class_word(p.seq), []).append(p)
         for word in all_words(n, min_n=n):
             group = tuple(groups.pop(word))
-            assert perms_from_word(word) == group
+            listing = perms_from_word(word)
+            assert type(listing) is Listing and listing == group and group == listing
             assert len(group) == count_perms_from_word(word)
         assert not groups
 
@@ -266,7 +268,8 @@ class TestOracle:
     def test_matches_search(self):
         for n in range(3, 7):
             for word in sorted({cycle_word(p) for p in all_cyclic_perms(n)}):
-                assert perms_from_word(word) == perms_from_word_oracle(word)
+                listing, oracle = perms_from_word(word), perms_from_word_oracle(word)
+                assert listing == oracle and oracle == listing
 
     def test_matches_search_sampled_large(self):
         # a few words sampled from the bigger universes

@@ -9,6 +9,7 @@ from arcdiagrams import (
     Classification,
     CycleDiagram,
     CyclicPerm,
+    Listing,
     NotAPermutation,
     NotNormalized,
     NotRepresentable,
@@ -410,6 +411,51 @@ class TestSortedPerms:
         # any start, either direction: the cycle's two walks from 1
         perms = sorted_perms([walk], 2, "cycles")
         assert [p.seq for p in perms] == [(1, 3, 2, 4), (1, 4, 2, 3)]
+
+    @pytest.mark.parametrize("n, width", [(255, 1), (256, 2), (65_535, 2), (65_536, 4)])
+    def test_row_width(self, n, width):
+        # one byte a vertex up to 255, then two, then four, each big-endian
+        walk = tuple(range(n, 0, -1))  # from n down to 1
+        perms = sorted_perms([walk], 2, "cycles")
+        assert perms.width == width and all(len(row) == n * width for row in perms.rows)
+        assert [p.seq for p in perms] == [tuple(range(1, n + 1)), (1, *walk[:-1])]
+
+
+class TestListing:
+    PERMS = tuple(all_cyclic_perms(5))
+
+    def listing(self):
+        return Listing.of(self.PERMS, 5)
+
+    def test_reads_as_its_perms(self):
+        listing = self.listing()
+        assert len(listing) == 24 and list(listing) == list(self.PERMS)
+        assert listing[-1] == self.PERMS[-1] and listing[3] == self.PERMS[3]
+        assert listing[2:9:3] == self.PERMS[2:9:3] and type(listing[2:9:3]) is Listing
+        assert self.PERMS[7] in listing and listing.index(self.PERMS[7]) == 7
+        with pytest.raises(IndexError):
+            listing[24]
+
+    def test_equality(self):
+        listing = self.listing()
+        assert listing == self.PERMS and self.PERMS == listing and listing == self.listing()
+        assert listing != self.PERMS[:-1] and listing != listing[1:]
+        assert listing != list(self.PERMS)  # as a tuple is not equal to a list
+        assert Listing.of([], 5) == () == Listing.of([], 300)
+
+    @pytest.mark.parametrize("n", [255, 256, 65_536])
+    def test_packs_rows_of_each_width(self, n):
+        perms = (CyclicPerm(range(1, n + 1)), CyclicPerm((1, *range(n, 1, -1))))
+        listing = Listing.of(perms, n)
+        assert listing == perms and listing.rows == sorted(listing.rows)
+        assert [len(row) for row in listing.rows] == [n * listing.width] * 2
+
+    def test_unhashable_and_read_only(self):
+        listing = self.listing()
+        with pytest.raises(TypeError):
+            hash(listing)
+        assert not hasattr(listing, "append") and not hasattr(listing, "__setitem__")
+        assert repr(listing[:1]) == "Listing((CyclicPerm(seq=(1, 2, 3, 4, 5)),))"
 
 
 class TestArcText:
