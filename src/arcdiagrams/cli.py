@@ -45,13 +45,13 @@ def _joined(items, sep: str, head: str, tail: str, between: str = " "):
             yield head + sep.join(lines)
             head, lines = sep, []
         if item:
-            names = [str(v) for v in range(item.n + 1)].__getitem__  # one table per listing
-            marker = between + "1" + between
+            names = [between + str(v) for v in range(item.n + 1)]  # one table per listing
+            names[1] = sep + "1"  # every row starts at vertex 1, and 1 starts an item
             for at in range(0, len(item), 4096):
-                entries = item.entries(b"".join(item.rows[at : at + 4096]))
-                # every row starts at vertex 1 and holds it once, so each
-                # between-1-between marks a row's start
-                yield head + between.join(map(names, entries)).replace(marker, sep + "1" + between)
+                # "utf-32" writes a BOM, then each char, a vertex, as one native int
+                data = "".join(item.rows[at : at + 4096]).encode("utf-32", "surrogatepass")
+                text = "".join(map(names.__getitem__, memoryview(data)[4:].cast("I")))
+                yield head + text[len(sep) :]
                 head = sep
     yield tail
 

@@ -25,7 +25,7 @@ from .bdiagram import BDiagram
 from .errors import (
     DEFAULT_CAP, NotRepresentable, SizeMismatch, TooSmall, check_cap, check_scan, too_deep
 )
-from .perm import Arc, CyclicPerm, Listing, sorted_perms, spanning_cycle, trace_paths
+from .perm import Arc, CyclicPerm, Listing, as_row, sorted_perms, spanning_cycle, trace_paths
 
 
 def canonical_generator(b: BDiagram) -> CyclicPerm:
@@ -63,10 +63,10 @@ def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> Listing:
     """
     expected = count_generators(b)
     check_cap(expected, cap, "generators")
-    head, *rest = sorted(b.blocks, key=len, reverse=True)  # stable: a path leads
+    head, *rest = sorted(map(as_row, b.blocks), key=len, reverse=True)  # stable: a path leads
     variants = [(block,) if len(block) == 1 else (block, block[::-1]) for block in rest]
     cycles = (
-        head + tuple(v for block in choice for v in block)
+        head + "".join(choice)
         for order in itertools.permutations(range(len(rest)))
         if len(head) > 1 or order[0] < order[-1]
         for choice in itertools.product(*[variants[i] for i in order])
@@ -114,15 +114,15 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> Listing:
     """
     expected = count_generators(b)
     check_cap(expected, cap, "completions")
-    walk: list[tuple[int, ...] | None] = [None] * (b.n + 1)
-    for block in b.blocks:
-        walk[block[0]], walk[block[-1]] = block, block[::-1]
+    walk: list[str | None] = [None] * (b.n + 1)
+    for row in map(as_row, b.blocks):
+        walk[ord(row[0])], walk[ord(row[-1])] = row, row[::-1]
     ends = [v for v, w in enumerate(walk) if w is not None]
 
-    def search(left: int, last: Arc) -> Iterator[tuple[int, ...]]:
+    def search(left: int, last: Arc) -> Iterator[str]:
         i = next(v for v in ends if walk[v] is not None)
         wi = walk[i]
-        ei = wi[-1]
+        ei = ord(wi[-1])
         after = last[1] if last[0] == i else i
         if left == 1:  # one path left: the arc (i, ei) closes it
             if ei > after:
@@ -132,7 +132,7 @@ def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> Listing:
             wj = walk[j]
             if j <= after or wj is None or j == ei:
                 continue
-            ej = wj[-1]
+            ej = ord(wj[-1])
             saved = walk[ei], walk[ej]
             walk[i] = walk[j] = None
             walk[ei], walk[ej] = wi[::-1] + wj, wj[::-1] + wi
@@ -186,7 +186,7 @@ def common_generators(b: BDiagram, other: BDiagram) -> CommonGenerators:
         walks = []
     shared: tuple[CyclicPerm, ...] = ()
     if len(walks) == 1:  # a path or cycle through all n >= 3 vertices
-        shared = tuple(sorted_perms(walks, 2, f"cycles through {b}"))
+        shared = tuple(sorted_perms([as_row(walks[0])], 2, f"cycles through {b}"))
     elif walks:  # a tuple, so that the result hashes
         shared = tuple(enumerate_generators(BDiagram(walks)))
     return CommonGenerators(

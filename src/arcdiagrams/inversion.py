@@ -20,7 +20,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import DEFAULT_CAP, brief, check_cap, check_scan, too_deep
-from .perm import Classification, CyclicPerm, Listing, all_cyclic_perms, sorted_perms
+from .perm import Classification, CyclicPerm, Listing, all_cyclic_perms, as_row, sorted_perms
 from .words import check_cycle_word, cycle_word
 
 
@@ -91,17 +91,17 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> Listing:
     """All cyclic permutations whose word is ``word``, in lexicographic order, as a
     :class:`~arcdiagrams.perm.Listing`.
 
-    Sweeps the vertices left to right over the open paths, as walks:
-    ``r`` starts ``(v,)``, ``k`` appends v at either end of one walk, ``R``
-    joins two as ``p + (v,) + q`` in every orientation, and the final ``R``
-    closes the last.  Each move fixes its vertex's letter: an ``r``'s
-    neighbours both come later, a ``k`` has one earlier and one later, and
-    an ``R``'s are both earlier.  So every branch ends in a cycle with the
-    word, and no walk is read back.  Each cycle is listed once, and walked
-    both ways from 1, so the result is closed under reversal.  Raises ``NotAWord`` for a
-    non-word, ``CapExceeded`` before listing when the count exceeds
-    ``cap``, and ``TooLarge`` for a word too long to sweep within the
-    recursion limit.
+    Sweeps the vertices left to right over the open paths, as walks in the
+    form of :func:`~arcdiagrams.perm.as_row`: ``r`` starts one of v alone,
+    ``k`` appends v at either end of one walk, ``R`` joins two as p, v, q in
+    every orientation, and the final ``R`` closes the last.  Each move fixes
+    its vertex's letter: an ``r``'s neighbours both come later, a ``k`` has
+    one earlier and one later, and an ``R``'s are both earlier.  So every
+    branch ends in a cycle with the word, and no walk is read back.  Each
+    cycle is listed once, and walked both ways from 1, so the result is
+    closed under reversal.  Raises ``NotAWord`` for a non-word,
+    ``CapExceeded`` before listing when the count exceeds ``cap``, and
+    ``TooLarge`` for a word too long to sweep within the recursion limit.
 
     The sweep shares nothing with the product of
     :func:`count_perms_from_word`, so :func:`sorted_perms` checking the
@@ -109,25 +109,26 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> Listing:
     """
     total = count_perms_from_word(word, cap)
     n = len(word)
-    cycles: list[tuple[int, ...]] = []  # a yield-from sweep ran 1.5-1.8x slower
+    vertex = as_row(tuple(range(n + 1)))  # vertex[v]: v's char in a row
+    cycles: list[str] = []  # a yield-from sweep ran 1.5-1.8x slower
 
-    def sweep(v: int, paths: tuple[tuple[int, ...], ...]) -> None:
+    def sweep(v: int, paths: tuple[str, ...]) -> None:
         if v == n:
             [path] = paths
-            cycles.append(path + (v,))
+            cycles.append(path + vertex[v])
         elif word[v - 1] == "r":
-            sweep(v + 1, paths + ((v,),))
+            sweep(v + 1, paths + (vertex[v],))
         elif word[v - 1] == "k":
             for i, path in enumerate(paths):
                 rest = paths[:i] + paths[i + 1 :]
                 for p in {path, path[::-1]}:  # one for a lone r
-                    sweep(v + 1, rest + (p + (v,),))
+                    sweep(v + 1, rest + (p + vertex[v],))
         else:
             for i, j in combinations(range(len(paths)), 2):
                 rest = paths[:i] + paths[i + 1 : j] + paths[j + 1 :]
                 for p in {paths[i], paths[i][::-1]}:
                     for q in {paths[j], paths[j][::-1]}:
-                        sweep(v + 1, rest + (p + (v,) + q,))
+                        sweep(v + 1, rest + (p + vertex[v] + q,))
 
     try:
         sweep(1, ())
@@ -151,4 +152,4 @@ def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
 
 def canonical_half(perms: Listing) -> Listing:
     """One permutation per reversal pair of a listing: those with second entry < last."""
-    return Listing([row for row in perms.rows if (e := perms.entries(row))[1] < e[-1]], perms.n)
+    return Listing([row for row in perms.rows if row[1] < row[-1]], perms.n)

@@ -25,13 +25,15 @@ arc diagram.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Sequence
 from functools import total_ordering
 from operator import lt
-from struct import pack, unpack
 from typing import Iterable, Iterator
 
-from .errors import NotAPermutation, NotNormalized, NotRepresentable, OutOfRange, TooSmall, brief
+from .errors import (
+    NotAPermutation, NotNormalized, NotRepresentable, OutOfRange, TooLarge, TooSmall, brief
+)
 
 Arc = tuple[int, int]
 
@@ -221,52 +223,43 @@ class CyclicPerm(_Value):
         return " ".join(str(v) for v in self.seq)
 
 
-_CODE = {1: "B", 2: "H", 4: "I"}  # by a row's width: the struct code of one vertex
+def as_row(entries: tuple[int, ...]) -> str:
+    """``entries`` as a row, ``chr(v)`` for each v: a str compares by code point and
+    stores 1, 2 or 4 bytes a char by its largest, so rows sort as their entries do
+    at the least width.  Raises :class:`TooLarge` past ``sys.maxunicode``."""
+    try:
+        return "%c" * len(entries) % entries  # one call, twice as fast as joining chr()s
+    except OverflowError:  # a vertex past sys.maxunicode
+        top, limit = max(entries), sys.maxunicode
+        raise TooLarge(f"no row holds vertex {brief(top)} > {limit}", top, limit) from None
 
 
 class Listing(Sequence):
-    """A read-only sequence of the ``CyclicPerm``s of one n, held as packed rows:
-    each perm's entries as bytes, one a vertex up to n = 255, else two (four
-    past 65,535), big-endian, so that rows sort as the perms do.  A row becomes
-    a ``CyclicPerm`` only when it is read.  Equal to a ``Listing`` with the same
-    rows and to a tuple of the same perms; unhashable, as a list is.
+    """A read-only sequence of the ``CyclicPerm``s of one n, held as rows (see
+    :func:`as_row`); a row becomes a ``CyclicPerm`` only when it is read.
+    Equal to a ``Listing`` with the same rows and to a tuple of the same
+    perms; unhashable, as a list is.
 
     >>> perms = CyclicPerm((1, 2, 3)), CyclicPerm((1, 3, 2))
     >>> listing = Listing.of(perms, 3)
     >>> listing.rows, listing[1], listing == perms
-    ([b'\\x01\\x02\\x03', b'\\x01\\x03\\x02'], CyclicPerm(seq=(1, 3, 2)), True)
+    (['\\x01\\x02\\x03', '\\x01\\x03\\x02'], CyclicPerm(seq=(1, 3, 2)), True)
     """
 
-    __slots__ = ("rows", "n", "width")
+    __slots__ = ("rows", "n")
 
-    def __init__(self, rows: list[bytes], n: int):
-        self.rows = rows  # each a CyclicPerm's entries, packed as above
+    def __init__(self, rows: list[str], n: int):
+        self.rows = rows  # each a CyclicPerm's entries, as a row
         self.n = n
-        self.width = 1 if n < 0x100 else 2 if n < 0x10000 else 4
 
     @classmethod
     def of(cls, perms: Iterable[CyclicPerm], n: int) -> Listing:
         """``perms``, ``CyclicPerm``s of n entries, as a listing in their order."""
-        listing = cls([], n)
-        listing.rows += (listing.pack(p.seq) for p in perms)
-        return listing
+        return cls([as_row(p.seq) for p in perms], n)
 
-    def pack(self, entries: Sequence[int]) -> bytes:
-        """The n ``entries`` of a row, packed."""
-        if self.width == 1:
-            return bytes(entries)
-        return pack(f">{self.n}{_CODE[self.width]}", *entries)
-
-    def entries(self, data: bytes) -> Sequence[int]:
-        """The entries packed in ``data``, a row or rows joined: up to n = 255,
-        the bytes themselves, which iterate as ints."""
-        if self.width == 1:
-            return data
-        return unpack(f">{len(data) // self.width}{_CODE[self.width]}", data)
-
-    def _perm(self, row: bytes) -> CyclicPerm:
+    def _perm(self, row: str) -> CyclicPerm:
         p = object.__new__(CyclicPerm)  # valid by construction
-        object.__setattr__(p, "seq", tuple(self.entries(row)))
+        object.__setattr__(p, "seq", tuple(map(ord, row)))
         return p
 
     def __len__(self) -> int:
@@ -289,41 +282,32 @@ class Listing(Sequence):
         return f"Listing({tuple(self)!r})"
 
 
-def sorted_perms(cycles: Iterable, expected: int, what: str) -> Listing:
+def sorted_perms(cycles: Iterable[str], expected: int, what: str) -> Listing:
     """Each of ``cycles`` walked both ways from 1, in lexicographic order:
-    the one tail of every listing route, and the one home of a row's form.
+    the one tail of every listing route.
 
-    Each cycle comes once, as a tuple through all n >= 3 vertices from any of
-    them either way, so its walks skip the checks of ``CyclicPerm.__init__``.
-    ``cycles`` is read once, so a generator can hand them over as it finds them.
-    Raises ``RuntimeError`` unless they make ``expected`` permutations, all distinct.
+    Each cycle comes once, as a row (see :func:`as_row`) through all n >= 3
+    vertices from any of them either way, so its walks skip the checks of
+    ``CyclicPerm.__init__``.  ``cycles`` is read once, so a generator can hand
+    them over as it finds them.  Raises ``RuntimeError`` unless they make
+    ``expected`` permutations, all distinct.
 
-    >>> [str(p) for p in sorted_perms([(2, 3, 1)], 2, "cycles")]
+    >>> [str(p) for p in sorted_perms([as_row((2, 3, 1))], 2, "cycles")]
     ['1 2 3', '1 3 2']
     """
     cycles = iter(cycles)
-    first = next(cycles, ())
+    first = next(cycles, "")
     n = len(first)
-    walks = itertools.chain([first], cycles) if n else ()
-    rows: list[bytes] = []
-    listing = Listing(rows, n)
-    # a walk twice over holds both walks from 1: on from its first 1, and back
-    # from its second
-    if listing.width == 1:
-        for walk in walks:
-            row = bytes(walk)
-            at = row.index(1)
-            row += row
-            rows += row[at : at + n], row[at + n : at : -1]
-    else:
-        for walk in walks:
-            at = walk.index(1)
-            walk += walk
-            rows += listing.pack(walk[at : at + n]), listing.pack(walk[at + n : at : -1])
+    rows: list[str] = []
+    # a walk twice over holds both walks from 1: on from its first 1, back from its second
+    for walk in itertools.chain([first], cycles) if n else ():
+        at = walk.index("\x01")
+        walk += walk
+        rows += walk[at : at + n], walk[at + n : at : -1]
     rows.sort()
     if len(rows) != expected or not all(map(lt, rows, rows[1:])):
         raise RuntimeError(f"{what}: {len(rows)} listed, not {expected} distinct")
-    return listing
+    return Listing(rows, n)
 
 
 def parse_perm(text: str) -> CyclicPerm:

@@ -230,7 +230,7 @@ class TestBWordAndValidate:
 class TestGenerators:
     @pytest.mark.parametrize("method", ["blocks", "table"])
     def test_rows_past_255_vertices(self, capsys, method):
-        # two bytes a vertex: each row, as text and as JSON, reads as its perm's entries
+        # vertices past 255: each row, as text and as JSON, reads as its perm's entries
         diagram = " | ".join(" ".join(map(str, range(*ends))) for ends in WIDE_ENDS)
         rows = [p.seq for p in enumerate_generators(parse_bdiagram(diagram))]
         code, out, _ = run(capsys, "generators", diagram, "--list", "--method", method)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -28,7 +29,7 @@ from arcdiagrams.inversion import canonical_half
 from conftest import assert_validated_perms, random_bdiagram, random_cut, run_own_peak
 
 THREE_BLOCKS = "1 2 3 | 4 7 8 | 5 6"
-# three paths on 300 vertices, whose ends meet the one-byte boundary
+# three paths on 300 vertices, whose ends meet code points 255 and 256
 WIDE_BLOCKS = (tuple(range(1, 101)), tuple(range(101, 256)), tuple(range(256, 301)))
 THREE_BLOCKS_GENERATORS = (
     "1 2 3 4 7 8 5 6",
@@ -254,26 +255,50 @@ class TestTripleAgreement:
         for p in enumerate_generators(b):
             assert arc_set(p).arcs - cut_set(p, b) == b.arcs()
 
-    def test_rows_past_255_vertices(self):
-        # n = 300 packs two bytes a vertex; a row walked back from 1 goes on at
-        # 101, 255, 256 or 300, so the order crosses the one-byte boundary
-        b = BDiagram(WIDE_BLOCKS)
-        head, middle, last = WIDE_BLOCKS
-        cycles = [
+    @staticmethod
+    def assert_lists_three_paths(blocks, count):
+        """Both routes list the ``count`` generators of ``blocks``, three paths
+        the first of which is the longest, as built here and sorted, and
+        ``canonical_half`` keeps half of them; returns the listing by blocks."""
+        b = BDiagram(blocks)
+        head, middle, last = blocks
+        cycles = {
             CyclicPerm(head + x + y)
             for one, other in ((middle, last), (last, middle))
             for x in (one, one[::-1])
             for y in (other, other[::-1])
-        ]
-        expected = tuple(sorted(cycles + [p.reverse() for p in cycles]))
+        }
+        expected = tuple(sorted(cycles | {p.reverse() for p in cycles}))
         by_blocks, by_table = enumerate_generators(b), complete_table(b)
-        assert len(expected) == count_generators(b) == 16
-        assert by_blocks.width == 2 and by_blocks.rows == sorted(by_blocks.rows)
+        assert len(expected) == count_generators(b) == count
+        assert by_blocks.rows == sorted(by_blocks.rows)
         assert by_blocks == by_table == expected and expected == by_table
-        assert {p.seq[1] for p in by_blocks} == {2, 101, 255, 256, 300}
         assert_validated_perms(by_blocks)
         half = canonical_half(by_blocks)
-        assert half == tuple(p for p in expected if p.seq[1] < p.seq[-1]) and len(half) == 8
+        assert half == tuple(p for p in expected if p.seq[1] < p.seq[-1])
+        assert len(half) == count // 2
+        return by_blocks
+
+    def test_rows_past_255_vertices(self):
+        # n = 300: a row walked back from 1 goes on at 101, 255, 256 or 300, so
+        # the order crosses from code point 255 to 256
+        by_blocks = self.assert_lists_three_paths(WIDE_BLOCKS, 16)
+        assert {p.seq[1] for p in by_blocks} == {2, 101, 255, 256, 300}
+
+    def test_rows_around_the_surrogates(self):
+        # a row walked back from 1 goes on at 55,295, 57,344 or 57,345: either
+        # side of the surrogate code points, which a row holds as any others
+        blocks = (tuple(range(1, 55_295)), tuple(range(55_295, 57_345)), (57_345,))
+        by_blocks = self.assert_lists_three_paths(blocks, 8)
+        assert {p.seq[1] for p in by_blocks} == {2, 55_295, 57_344, 57_345}
+
+    @pytest.mark.parametrize("route", [enumerate_generators, complete_table])
+    def test_refuses_vertices_past_the_last_code_point(self, route):
+        # a row holds one char a vertex, and no char is past sys.maxunicode
+        last = sys.maxunicode + 1
+        with pytest.raises(TooLarge) as info:
+            route(BDiagram([tuple(range(1, last)), (last,)]))
+        assert (info.value.requested, info.value.limit) == (last, sys.maxunicode)
 
 
 class TestCommonGenerators:

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from math import factorial
 
 import pytest
@@ -21,7 +22,7 @@ from arcdiagrams import (
     cycle_word,
     parse_perm,
 )
-from arcdiagrams.perm import sorted_perms, spanning_cycle, trace_paths
+from arcdiagrams.perm import as_row, sorted_perms, spanning_cycle, trace_paths
 from arcdiagrams.words import word_of_classes
 from conftest import (
     arc_graph_shape,
@@ -402,22 +403,25 @@ class TestSortedPerms:
     )
     def test_rejects(self, cycles, expected):
         with pytest.raises(RuntimeError) as info:
-            sorted_perms(cycles, expected, "cycles")
+            sorted_perms(map(as_row, cycles), expected, "cycles")
         listed = 2 * len(cycles)
         assert str(info.value) == f"cycles: {listed} listed, not {expected} distinct"
 
     @pytest.mark.parametrize("walk", [(3, 1, 4, 2), (2, 4, 1, 3), (1, 3, 2, 4)])
     def test_walk_from_anywhere(self, walk):
         # any start, either direction: the cycle's two walks from 1
-        perms = sorted_perms([walk], 2, "cycles")
+        perms = sorted_perms([as_row(walk)], 2, "cycles")
         assert [p.seq for p in perms] == [(1, 3, 2, 4), (1, 4, 2, 3)]
 
     @pytest.mark.parametrize("n, width", [(255, 1), (256, 2), (65_535, 2), (65_536, 4)])
     def test_row_width(self, n, width):
-        # one byte a vertex up to 255, then two, then four, each big-endian
+        # a str holds one byte a char up to code point 255, then two, then
+        # four (PEP 393), so a row takes that many a vertex, and sorts and
+        # reads back as its perm whatever it takes
         walk = tuple(range(n, 0, -1))  # from n down to 1
-        perms = sorted_perms([walk], 2, "cycles")
-        assert perms.width == width and all(len(row) == n * width for row in perms.rows)
+        perms = sorted_perms([as_row(walk)], 2, "cycles")
+        assert all(sys.getsizeof(row * 2) - sys.getsizeof(row) == n * width for row in perms.rows)
+        assert perms.rows == sorted(perms.rows)
         assert [p.seq for p in perms] == [tuple(range(1, n + 1)), (1, *walk[:-1])]
 
 
@@ -443,12 +447,12 @@ class TestListing:
         assert listing != list(self.PERMS)  # as a tuple is not equal to a list
         assert Listing.of([], 5) == () == Listing.of([], 300)
 
-    @pytest.mark.parametrize("n", [255, 256, 65_536])
+    @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
     def test_packs_rows_of_each_width(self, n):
+        # rows of one, two and four bytes a vertex (see test_row_width)
         perms = (CyclicPerm(range(1, n + 1)), CyclicPerm((1, *range(n, 1, -1))))
         listing = Listing.of(perms, n)
         assert listing == perms and listing.rows == sorted(listing.rows)
-        assert [len(row) for row in listing.rows] == [n * listing.width] * 2
 
     def test_unhashable_and_read_only(self):
         listing = self.listing()
