@@ -131,8 +131,6 @@ def _cmd_generators(args) -> tuple[dict, list]:
         "oracle": generation.generators_oracle,
     }
     perms = methods[args.method](b, args.cap)
-    if args.method == "oracle":  # a tuple, which the writer takes as a listing
-        perms = Listing.of(perms, b.n)
     payload = {"count": len(perms), "method": args.method, "perms": perms}
     return payload, [perms]
 

@@ -7,12 +7,14 @@ single vertices, has exactly ``2**(m-l) * (m-1)!`` generators: arrange the
 blocks around the cycle with the first block's position fixed, and reverse
 any subset of the non-singleton blocks.
 
-Three routes compute the same set and are kept deliberately separate so
-they can cross-check each other: direct arrangement of blocks
+Three routes compute the same set, each as a sorted
+:class:`~arcdiagrams.perm.Listing` of rows, and are kept deliberately
+separate so they can cross-check each other: direct arrangement of blocks
 (:func:`enumerate_generators`), completion of the missing arcs by
 backtracking from the least open path end over one list of open walks,
 each cycle yielded as its last arc closes it (:func:`complete_table`), and a
-brute-force scan of the (n-1)! sequences from 1 (:func:`generators_oracle`).
+brute-force scan of the (n-1)! sequences from 1, keeping the row of each
+that holds every arc (:func:`generators_oracle`).
 """
 
 from __future__ import annotations
@@ -74,18 +76,19 @@ def enumerate_generators(b: BDiagram, cap: int = DEFAULT_CAP) -> Listing:
     return sorted_perms(cycles, expected, f"arrangements of {b}")
 
 
-def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
-    """Brute force: every cyclic permutation in which each arc's ends are adjacent.
+def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> Listing:
+    """Brute force: every cyclic permutation in which each arc's ends are
+    adjacent, as a :class:`~arcdiagrams.perm.Listing`.
 
-    Scans the (n-1)! sequences ``(1,) + rest`` in lexicographic order, stops
-    checking one at its first arc whose ends lie apart, and builds a checked
-    ``CyclicPerm`` for each one kept; nothing is kept between calls.
+    Scans the (n-1)! sequences ``(1,) + rest``, valid by construction, in
+    lexicographic order, stops checking one at its first arc whose ends lie
+    apart, and keeps the row of each one left; nothing is kept between calls.
     """
     n = b.n
     check_scan(n, "oracle")
     check_cap(count_generators(b), cap, "generators")
     arcs = b.arcs()
-    found = []
+    rows = []
     for rest in itertools.permutations(range(2, n + 1)):
         seq = (1,) + rest
         for u, v in arcs:
@@ -93,8 +96,8 @@ def generators_oracle(b: BDiagram, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, 
             if seq[at - 1] != v != seq[at + 1 - n]:  # v is on neither side of u
                 break
         else:
-            found.append(CyclicPerm(seq))
-    return tuple(found)
+            rows.append(as_row(seq))
+    return Listing(rows, n)
 
 
 def complete_table(b: BDiagram, cap: int = DEFAULT_CAP) -> Listing:

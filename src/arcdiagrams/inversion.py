@@ -20,7 +20,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import DEFAULT_CAP, brief, check_cap, check_scan, too_deep
-from .perm import Classification, CyclicPerm, Listing, all_cyclic_perms, as_row, sorted_perms
+from .perm import Classification, Listing, all_cyclic_perms, as_row, sorted_perms
 from .words import check_cycle_word, cycle_word
 
 
@@ -137,8 +137,9 @@ def perms_from_word(word: str, cap: int = DEFAULT_CAP) -> Listing:
     return sorted_perms(cycles, total, f"cycles with the word {word}")
 
 
-def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPerm, ...]:
-    """Brute force: filter the whole universe by word equality.
+def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> Listing:
+    """Brute force: filter the whole universe by word equality, as a
+    :class:`~arcdiagrams.perm.Listing` in lexicographic order.
 
     Raises ``NotAWord`` for a non-word, as the sweep does, refuses n above
     10, and raises ``CapExceeded`` when the (n-1)! to scan exceed ``cap``.
@@ -147,7 +148,7 @@ def perms_from_word_oracle(word: str, cap: int = DEFAULT_CAP) -> tuple[CyclicPer
     n = len(word)
     check_scan(n, "oracle")
     check_cap(factorial(n - 1), cap, "permutations to scan")
-    return tuple(p for p in all_cyclic_perms(n) if cycle_word(p) == word)
+    return Listing([as_row(p.seq) for p in all_cyclic_perms(n) if cycle_word(p) == word], n)
 
 
 def canonical_half(perms: Listing) -> Listing:

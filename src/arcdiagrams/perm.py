@@ -240,9 +240,8 @@ class Listing(Sequence):
     Equal to a ``Listing`` with the same rows and to a tuple of the same
     perms; unhashable, as a list is.
 
-    >>> perms = CyclicPerm((1, 2, 3)), CyclicPerm((1, 3, 2))
-    >>> listing = Listing.of(perms, 3)
-    >>> listing.rows, listing[1], listing == perms
+    >>> listing = Listing([as_row((1, 2, 3)), as_row((1, 3, 2))], 3)
+    >>> listing.rows, listing[1], listing == (CyclicPerm((1, 2, 3)), CyclicPerm((1, 3, 2)))
     (['\\x01\\x02\\x03', '\\x01\\x03\\x02'], CyclicPerm(seq=(1, 3, 2)), True)
     """
 
@@ -251,11 +250,6 @@ class Listing(Sequence):
     def __init__(self, rows: list[str], n: int):
         self.rows = rows  # each a CyclicPerm's entries, as a row
         self.n = n
-
-    @classmethod
-    def of(cls, perms: Iterable[CyclicPerm], n: int) -> Listing:
-        """``perms``, ``CyclicPerm``s of n entries, as a listing in their order."""
-        return cls([as_row(p.seq) for p in perms], n)
 
     def _perm(self, row: str) -> CyclicPerm:
         p = object.__new__(CyclicPerm)  # valid by construction

@@ -196,11 +196,13 @@ CASES = [
     HeavyCase("invert rrkkkkkkkkRR --json", [*CLI, "invert", "rrkkkkkkkkRR", "--json"], 0,
               131_072, 0.9, 100),
     HeavyCase("invert rrkkkkkkkkRR", [*CLI, "invert", "rrkkkkkkkkRR"], 0, 131_072, 0.85, 100),
-    # the brute-force oracle at its largest n: all 9! sequences from 1 scanned for
-    # 2 * 8! generators
+    # the brute-force oracles at their largest n: all 9! sequences from 1 scanned for
+    # 2 * 8! generators, and for the 8,192 permutations of a word
     HeavyCase('generators "1 2 | 3 | 4 | ... | 10" --list --method oracle --json',
               [*CLI, "generators", _ONE_PAIR.removesuffix(" | 11"), "--list", "--method",
-               "oracle", "--json"], 0, 80_640, 1.2, 105),
+               "oracle", "--json"], 0, 80_640, 0.6, 65),
+    HeavyCase("invert rrkkkkkkRR --oracle --json",
+              [*CLI, "invert", "rrkkkkkkRR", "--oracle", "--json"], 0, 8_192, 4.0, 50),
     # nine singletons: 8! generators, each cycle arranged once by blocks
     HeavyCase('generators "1 | 2 | ... | 9" --list --json',
               [*CLI, "generators", _SINGLETONS, "--list", "--json"], 0, 40_320, 0.8, 75),

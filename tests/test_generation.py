@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 
@@ -83,6 +84,15 @@ class TestCount:
     )
     def test_golden(self, diagram, expected):
         assert count_generators(parse_bdiagram(diagram)) == expected
+
+    @pytest.mark.parametrize(
+        "n, total", [(3, 8), (4, 66), (5, 624), (6, 6_840), (7, 86_400)]
+    )
+    def test_sum_over_all_diagrams(self, n, total):
+        # each of the (n-1)! cycles generates the diagrams of its arc subsets
+        # but the cycle itself and its n spanning paths, which are one block
+        assert total == math.factorial(n - 1) * (2**n - n - 1)
+        assert sum(map(count_generators, all_bdiagrams(n))) == total
 
     @pytest.mark.parametrize(
         "route", [count_generators, enumerate_generators, complete_table]
@@ -226,7 +236,7 @@ class TestTripleAgreement:
 
     def test_listed_values_equal_validated_perms(self):
         # the routes' rows become permutations without CyclicPerm's checks, and
-        # each route's listing equals the oracle's tuple, read either way round
+        # each route's listing equals the oracle's, read either way round
         for n in range(3, 8):
             for b in all_bdiagrams(n):
                 by_blocks, by_table = enumerate_generators(b), complete_table(b)
@@ -235,6 +245,7 @@ class TestTripleAgreement:
                 assert_validated_perms(by_table)
                 if n <= 6:
                     oracle = generators_oracle(b)
+                    assert type(oracle) is Listing
                     assert_validated_perms(oracle)
                     assert by_blocks == oracle == by_table and oracle == by_blocks, b
 

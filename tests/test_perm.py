@@ -429,7 +429,7 @@ class TestListing:
     PERMS = tuple(all_cyclic_perms(5))
 
     def listing(self):
-        return Listing.of(self.PERMS, 5)
+        return Listing([as_row(p.seq) for p in self.PERMS], 5)
 
     def test_reads_as_its_perms(self):
         listing = self.listing()
@@ -445,13 +445,13 @@ class TestListing:
         assert listing == self.PERMS and self.PERMS == listing and listing == self.listing()
         assert listing != self.PERMS[:-1] and listing != listing[1:]
         assert listing != list(self.PERMS)  # as a tuple is not equal to a list
-        assert Listing.of([], 5) == () == Listing.of([], 300)
+        assert Listing([], 5) == () == Listing([], 300)
 
     @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
     def test_packs_rows_of_each_width(self, n):
         # rows of one, two and four bytes a vertex (see test_row_width)
         perms = (CyclicPerm(range(1, n + 1)), CyclicPerm((1, *range(n, 1, -1))))
-        listing = Listing.of(perms, n)
+        listing = Listing([as_row(p.seq) for p in perms], n)
         assert listing == perms and listing.rows == sorted(listing.rows)
 
     def test_unhashable_and_read_only(self):
