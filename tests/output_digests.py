@@ -94,6 +94,39 @@ ERROR_COMMANDS = [  # a subcommand, the kinds of its operands and its options
 ]
 
 
+# tokens per kind of operand, and per subcommand the kinds of its operands and
+# its own options; ``tests/test_cli.py`` draws its fuzzed argvs from these too
+FUZZ_TOKENS = {
+    "perm": ("1 3 2", "1 3 2 7 8 4 5 6", "1 2 3 8 7 5 4 6", "1 2", "2 1 3", "1 2 2"),
+    "bdiagram": (
+        "1 | 2 | 3", "1 2 3 | 4 7 8 | 5 6", "3 1 6 | 2 7 8 | 4 5", "1 2 | 3",
+        "1 | 2", "1 | 1", "|",
+    ),
+    "word": ("rkR", "rrkkRR", "rrRrkRkR", "rkRrkR", "rR", "Rr"),
+    "bword": ("aAe", "raAaAAkA", "aAaAaArkR", "rkR", "aaa"),
+    "number": ("0", "-1", "2", "3", "4", "6", "7", "9", "10", "12"),
+    "op": ("add", "remove", "transpose"),
+    "junk": ("", " ", "x", "1 x 2", "1e3", "--bogus", "--", "--cap"),
+}
+FUZZ_COMMANDS = {
+    "classify": (("perm",), ()),
+    "invert": (("word",), ("--all", "--canonical-half", "--oracle")),
+    "bword": (("bdiagram",), ()),
+    "validate-word": (("bword",), ()),
+    "generators": (
+        ("bdiagram",),
+        ("--list", "--count", "--method oracle", "--method table", "--method blocks"),
+    ),
+    "cutset": (("perm", "bdiagram"), ()),
+    "complement": (("perm", "bdiagram"), ()),
+    "crossing": (("bdiagram",), ()),
+    "inflate": (("bword",), ()),
+    "edit": (("op", "bdiagram", "number", "number"), ()),
+    "render": (("word",), ("--kind perm", "--kind bword", "--format svg")),
+    "census": (("number",), ()),
+    "frobnicate": (("junk",), ()),
+}
+
 def corpus():
     """The argvs, each a tuple of str, in a fixed order and each once."""
     words = cycle_words(10)
@@ -134,6 +167,10 @@ def corpus():
               ("generators", "1 2 | 3 | 4 | 5 | 6", "--list", "--cap", "47")]
     argvs += [("validate-word", "".join(letters))
               for size in range(1, 7) for letters in itertools.product("rRkaAe", repeat=size)]
+    for command, (kinds, options) in FUZZ_COMMANDS.items():  # the fuzz tables' grid
+        for operands in itertools.product(*(FUZZ_TOKENS[kind] for kind in kinds)):
+            for option in ("", *options):
+                argvs.append((command, *operands, *option.split(), "--cap", "1000"))
     return list(dict.fromkeys(argvs))
 
 
@@ -173,18 +210,34 @@ def read_digests(path=DIGESTS):
     return corpus_line.split()[-1], [line.split()[1] for line in chunks]
 
 
+def changed_chunks(old, new):
+    """The numbers of the chunks whose digests differ between the lists
+    ``old`` and ``new``, and of those that only one of them holds."""
+    return [i for i in range(max(len(old), len(new)))
+            if old[i : i + 1] != new[i : i + 1]]
+
+
 def write_digests(path=DIGESTS):
+    """Rewrite ``path`` for the corpus, and say what changed against the
+    digests it held."""
     argvs = corpus()
+    digest, chunks = corpus_digest(argvs), chunk_digests(argvs)
+    old_digest, old_chunks = read_digests(path) if path.exists() else (None, [])
     lines = [f"# {__doc__.splitlines()[0]}",
              "# rewrite with: PYTHONPATH=src python tests/output_digests.py --write",
-             f"corpus {len(argvs)} {corpus_digest(argvs)}"]
-    lines += [f"{i:04d} {digest}" for i, digest in enumerate(chunk_digests(argvs))]
+             f"corpus {len(argvs)} {digest}"]
+    lines += [f"{i:04d} {chunk}" for i, chunk in enumerate(chunks)]
     path.write_text("\n".join(lines) + "\n")
-    return len(argvs)
+    changed = changed_chunks(old_chunks, chunks)
+    return [f"{len(argvs):,} argvs in {path}",
+            "corpus line " + ("unchanged" if digest == old_digest else "changed"),
+            f"{len(changed)} chunks changed" + (": " if changed else "")
+            + " ".join(f"{i:04d}" for i in changed)]
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--write", action="store_true", help="rewrite " + DIGESTS.name)
+    parser.add_argument("--write", action="store_true",
+                        help=f"rewrite {DIGESTS.name} and name the chunks that changed")
     if parser.parse_args().write:
-        print(f"{write_digests():,} argvs in {DIGESTS}")
+        print(*write_digests(), sep="\n")

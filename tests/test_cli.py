@@ -41,6 +41,7 @@ from conftest import (
     random_bdiagram,
 )
 from heavy_cases import RAN, REPO, run_own_peak
+from output_digests import FUZZ_COMMANDS, FUZZ_TOKENS
 
 MOTZKIN_ART = """\
     _
@@ -978,37 +979,6 @@ class TestPlainArgs:
         assert _plain_args(argv) is None
 
 
-FUZZ_TOKENS = {
-    "perm": ("1 3 2", "1 3 2 7 8 4 5 6", "1 2 3 8 7 5 4 6", "1 2", "2 1 3", "1 2 2"),
-    "bdiagram": (
-        "1 | 2 | 3", "1 2 3 | 4 7 8 | 5 6", "3 1 6 | 2 7 8 | 4 5", "1 2 | 3",
-        "1 | 2", "1 | 1", "|",
-    ),
-    "word": ("rkR", "rrkkRR", "rrRrkRkR", "rkRrkR", "rR", "Rr"),
-    "bword": ("aAe", "raAaAAkA", "aAaAaArkR", "rkR", "aaa"),
-    "number": ("0", "-1", "2", "3", "4", "6", "7", "9", "10", "12"),
-    "op": ("add", "remove", "transpose"),
-    "junk": ("", " ", "x", "1 x 2", "1e3", "--bogus", "--", "--cap"),
-}
-# subcommand -> (the kind of each positional argument, its own flags)
-FUZZ_COMMANDS = {
-    "classify": (("perm",), ()),
-    "invert": (("word",), ("--all", "--canonical-half", "--oracle")),
-    "bword": (("bdiagram",), ()),
-    "validate-word": (("bword",), ()),
-    "generators": (
-        ("bdiagram",),
-        ("--list", "--count", "--method oracle", "--method table", "--method blocks"),
-    ),
-    "cutset": (("perm", "bdiagram"), ()),
-    "complement": (("perm", "bdiagram"), ()),
-    "crossing": (("bdiagram",), ()),
-    "inflate": (("bword",), ()),
-    "edit": (("op", "bdiagram", "number", "number"), ()),
-    "render": (("word",), ("--kind perm", "--kind bword", "--format svg")),
-    "census": (("number",), ()),
-    "frobnicate": (("junk",), ()),
-}
 COMMON_FLAGS = ("--json", "--help")
 ALL_FLAGS = sorted(
     {f for _, own in FUZZ_COMMANDS.values() for f in own}
