@@ -1,19 +1,24 @@
 """Output digests: what the command line prints for a fixed corpus of argvs.
 
-The corpus is built from the library's enumerators and from perfbench's
-seeded argvs, the same on every run.  Each argv runs in-process through
-``cli.main``; its argv, exit code, stdout and stderr go into a sha256, one
-digest per chunk of ``CHUNK`` argvs, and the argv list has a digest of its
-own, so that a changed corpus cannot pass as a changed output.
+The corpus is built from the library's enumerators, the fuzz tables and
+perfbench's seeded argvs, the same on every run.  The benchmark's argvs are
+drawn by ``--write`` alone and stored in ``output_digests_benchmark.jsonl``,
+one JSON argv a line, so that building the corpus loads nothing from
+``perfbench/`` and a change to its workloads leaves the corpus as it is.
+Each argv runs in-process through ``cli.main``; its argv, exit code, stdout
+and stderr go into a sha256, one digest per chunk of ``CHUNK`` argvs, and
+the argv list has a digest of its own, so that a changed corpus cannot pass
+as a changed output.
 ``tests/test_output_digests.py`` recomputes every chunk and names each one
 that differs, with its argvs.
 
 A change that alters output on purpose rewrites the digests, and names the
-chunks that changed and why::
+chunks that changed and why; ``--write`` redraws the benchmark's argvs, and
+prints whether the corpus line changed and which chunks differ::
 
     PYTHONPATH=src python tests/output_digests.py --write
 
-A change that alters no output leaves the file as it is.
+A change that alters no output leaves both files as they are.
 
 What differs between the Python versions CI runs is left out: argparse's
 help and usage text (only the exit code is kept), and the refusals of a
@@ -34,16 +39,17 @@ from arcdiagrams.cli import main
 from arcdiagrams.generation import canonical_generator
 
 DIGESTS = Path(__file__).with_name("output_digests.txt")
+BENCHMARK = Path(__file__).with_name("output_digests_benchmark.jsonl")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHUNK = 100
 
 
-def cycle_words(longest):
-    """Every cycle word of 3..``longest`` letters, shortest first: an ``r``,
-    then ``r``, ``k`` and ``R`` keeping the path's height at 1 or more, then
-    the ``R`` that brings it to 0."""
+def cycle_words(longest, shortest=3):
+    """Every cycle word of ``shortest``..``longest`` letters, shortest first:
+    an ``r``, then ``r``, ``k`` and ``R`` keeping the path's height at 1 or
+    more, then the ``R`` that brings it to 0."""
     found = []
-    for n in range(3, longest + 1):
+    for n in range(shortest, longest + 1):
         for middle in itertools.product("rkR", repeat=n - 2):
             height = 1
             for letter in middle:
@@ -56,14 +62,15 @@ def cycle_words(longest):
     return found
 
 
-def _perfbench_argvs(seeds):
-    """perfbench's argvs for ``seeds``, every workload, in its order."""
+def benchmark_argvs():
+    """perfbench's argvs for seeds 1-5, every workload, in its order, drawn
+    from ``perfbench/workloads.py`` as it stands."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return [c.argv for seed in seeds for name in workloads.WORKLOADS
+    return [c.argv for seed in range(1, 6) for name in workloads.WORKLOADS
             for c in workloads.build(name, seed)]
 
 
@@ -155,7 +162,7 @@ def corpus():
     for word in [word for word in words if len(word) <= 8]:
         argvs += [("render", word), ("render", word, "--format", "svg", "--json")]
     argvs += [("census", str(n), *form) for n in range(3, 9) for form in ((), ("--json",))]
-    argvs += _perfbench_argvs(range(1, 6))
+    argvs += [tuple(json.loads(line)) for line in BENCHMARK.read_text().splitlines()]
     for command, kinds, options in ERROR_COMMANDS:
         pools = [ERROR_OPERANDS.get(kind, (kind,)) for kind in kinds]
         for operands in itertools.product(*pools):
@@ -210,16 +217,11 @@ def read_digests(path=DIGESTS):
     return corpus_line.split()[-1], [line.split()[1] for line in chunks]
 
 
-def changed_chunks(old, new):
-    """The numbers of the chunks whose digests differ between the lists
-    ``old`` and ``new``, and of those that only one of them holds."""
-    return [i for i in range(max(len(old), len(new)))
-            if old[i : i + 1] != new[i : i + 1]]
-
-
 def write_digests(path=DIGESTS):
-    """Rewrite ``path`` for the corpus, and say what changed against the
-    digests it held."""
+    """Store the benchmark's argvs afresh, rewrite ``path`` for the corpus,
+    and say what changed against the digests it held."""
+    drawn = benchmark_argvs()
+    BENCHMARK.write_text("".join(f"{json.dumps(argv)}\n" for argv in drawn))
     argvs = corpus()
     digest, chunks = corpus_digest(argvs), chunk_digests(argvs)
     old_digest, old_chunks = read_digests(path) if path.exists() else (None, [])
@@ -228,8 +230,10 @@ def write_digests(path=DIGESTS):
              f"corpus {len(argvs)} {digest}"]
     lines += [f"{i:04d} {chunk}" for i, chunk in enumerate(chunks)]
     path.write_text("\n".join(lines) + "\n")
-    changed = changed_chunks(old_chunks, chunks)
-    return [f"{len(argvs):,} argvs in {path}",
+    # a chunk changed if its digests differ or only one of the files has it
+    changed = [i for i in range(max(len(chunks), len(old_chunks)))
+               if chunks[i : i + 1] != old_chunks[i : i + 1]]
+    return [f"{len(drawn)} benchmark argvs in {BENCHMARK}", f"{len(argvs):,} argvs in {path}",
             "corpus line " + ("unchanged" if digest == old_digest else "changed"),
             f"{len(changed)} chunks changed" + (": " if changed else "")
             + " ".join(f"{i:04d}" for i in changed)]

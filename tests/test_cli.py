@@ -41,7 +41,7 @@ from conftest import (
     random_bdiagram,
 )
 from heavy_cases import RAN, REPO, run_own_peak
-from output_digests import FUZZ_COMMANDS, FUZZ_TOKENS
+from output_digests import FUZZ_COMMANDS, FUZZ_TOKENS, benchmark_argvs
 
 MOTZKIN_ART = """\
     _
@@ -870,16 +870,6 @@ class TestUsage:
         assert main() == 0 and capsys.readouterr().out == "aaaAAaAA\n"
 
 
-def perfbench_argvs(seeds):
-    """Every argv the benchmark's workloads run for these seeds."""
-    sys.path.insert(0, str(REPO / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return [list(c.argv) for w in workloads.WORKLOADS for s in seeds for c in workloads.build(w, s)]
-
-
 # tokens for argvs near the plain form: per kind of operand or option value,
 # four good ones first (none for a bad choice), then ones that argparse
 # reads otherwise or refuses
@@ -943,7 +933,7 @@ class TestPlainArgs:
 
     def test_benchmark_argvs_are_plain(self):
         parser = build_parser()
-        argvs = perfbench_argvs(range(1, 6))
+        argvs = [list(argv) for argv in benchmark_argvs()]
         for argv in argvs + [[a for a in argv if a != "--json"] for argv in argvs]:
             plain = _plain_args(argv)
             assert plain is not None, argv

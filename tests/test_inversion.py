@@ -1,6 +1,5 @@
 import random
 import time
-from itertools import product
 from math import factorial
 
 import pytest
@@ -13,7 +12,6 @@ from arcdiagrams import (
     TooLarge,
     all_cyclic_perms,
     canonical_half,
-    check_cycle_word,
     count_perms_from_word,
     cycle_word,
     neighbor_candidates,
@@ -29,6 +27,7 @@ from conftest import (
     scan_classes_from_word,
     value_class_word,
 )
+from output_digests import cycle_words
 
 MIXED_WORD = "rkrRkR"
 MIXED_PERMS = (
@@ -81,23 +80,6 @@ class TestNeighborCandidates:
             2: frozenset({1, 3}),
             3: frozenset({1, 2}),
         }
-
-
-def outcome(read, word):
-    """``("ok", result)`` or ``("ValueError", message)`` for one call."""
-    try:
-        return "ok", read(word)
-    except ValueError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def all_words(max_n, min_n=3):
-    """Every word of a cycle diagram with min_n..max_n letters."""
-    for n in range(min_n, max_n + 1):
-        for inner in product("rRk", repeat=n - 2):
-            word = "r" + "".join(inner) + "R"
-            if outcome(check_cycle_word, word)[0] == "ok":
-                yield word
 
 
 class TestPermsFromWord:
@@ -157,7 +139,7 @@ class TestPermsFromWord:
         # the count stops once a lower bound passes the cap, yet refuses
         # exactly the words whose fibre exceeds it, and counts the rest whole
         grid = {round(1.5**i) for i in range(23)}  # 1 .. 7,482
-        for word in all_words(12):
+        for word in cycle_words(12):
             count = count_perms_from_word(word)
             near = {c for c in (count - 1, count, count + 1) if 1 <= c <= 10**4}
             for cap in grid | near:
@@ -171,7 +153,7 @@ class TestPermsFromWord:
         # each count, and on the same grid the same words refused, each with
         # a lower bound in (cap, count]
         grid = {round(1.5**i) for i in range(23)}
-        for word in all_words(12):
+        for word in cycle_words(12):
             count = count_perms_reference(word)
             assert count_perms_from_word(word) == count
             for cap in grid:
@@ -206,7 +188,7 @@ class TestPermsFromWord:
 
     def test_listed_values_equal_validated_perms(self):
         # the sweep's walks become permutations without CyclicPerm's checks
-        for word in all_words(9):
+        for word in cycle_words(9):
             assert_validated_perms(perms_from_word(word))
 
     def test_partition_of_universe(self):
@@ -228,7 +210,7 @@ class TestCount:
         groups = {}
         for p in all_cyclic_perms(n):
             groups.setdefault(value_class_word(p.seq), []).append(p)
-        for word in all_words(n, min_n=n):
+        for word in cycle_words(n, n):
             group = tuple(groups.pop(word))
             listing = perms_from_word(word)
             assert type(listing) is Listing and listing == group and group == listing
