@@ -6,6 +6,7 @@ broken pipe), 2 domain rule violated, 3 size guard tripped.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import types
@@ -203,10 +204,9 @@ def _cmd_census(args) -> tuple[dict, Iterable[str]]:
 # ------------------------------------------------------------------ parsing
 
 # Every subcommand, read by build_parser and by _plain_args: its handler, its
-# help, its arguments and the two of its options that exclude each other. An
-# argument is an operand's name or an option's flag, with the settings that
-# build_parser hands to argparse's add_argument; each subcommand takes _COMMON
-# first.
+# help and its arguments. An argument is an operand's name or an option's
+# flag, with the settings that build_parser hands to argparse's add_argument;
+# each subcommand takes _COMMON first.
 _SWITCH = "store_true"
 _COMMON = (
     ("--json", {"action": _SWITCH, "help": "emit JSON"}),
@@ -214,48 +214,43 @@ _COMMON = (
                "help": "refuse enumerations larger than this"}),
 )
 _COMMANDS = {
-    "classify": (_cmd_classify, "vertex classes and word", [("perm", {})], ()),
+    "classify": (_cmd_classify, "vertex classes and word", [("perm", {})]),
     "invert": (_cmd_invert, "permutations of a word", [
         ("word", {}),
-        ("--all", {"action": _SWITCH, "help": "list every permutation (default)"}),
         ("--canonical-half", {"action": _SWITCH, "help": "one permutation per reversal pair"}),
         ("--oracle", {"action": _SWITCH, "help": "cross-check by brute force"}),
-    ], ("--all", "--canonical-half")),
-    "bword": (_cmd_bword, "word of a block diagram", [("bdiagram", {})], ()),
-    "validate-word": (
-        _cmd_validate_word, "does a six-letter word have a diagram", [("word", {})], ()
-    ),
+    ]),
+    "bword": (_cmd_bword, "word of a block diagram", [("bdiagram", {})]),
+    "validate-word": (_cmd_validate_word, "does a six-letter word have a diagram", [("word", {})]),
     "generators": (_cmd_generators, "generators of a diagram", [
         ("bdiagram", {}),
-        ("--count", {"action": _SWITCH, "help": "print the count (default)"}),
         ("--list", {"action": _SWITCH, "help": "list the generators"}),
         ("--method", {"choices": ("blocks", "table", "oracle"), "default": "blocks",
                       "help": "how to enumerate when listing"}),
-    ], ("--count", "--list")),
-    "cutset": (_cmd_cutset, "arcs removed by a generator", [("perm", {}), ("bdiagram", {})], ()),
-    "complement": (
-        _cmd_complement, "complement of a diagram", [("perm", {}), ("bdiagram", {})], ()
-    ),
-    "crossing": (_cmd_crossing, "largest crossing family", [("bdiagram", {})], ()),
-    "inflate": (_cmd_inflate, "expand to single-step letters", [("word", {})], ()),
+    ]),
+    "cutset": (_cmd_cutset, "arcs removed by a generator", [("perm", {}), ("bdiagram", {})]),
+    "complement": (_cmd_complement, "complement of a diagram", [("perm", {}), ("bdiagram", {})]),
+    "crossing": (_cmd_crossing, "largest crossing family", [("bdiagram", {})]),
+    "inflate": (_cmd_inflate, "expand to single-step letters", [("word", {})]),
     "edit": (_cmd_edit, "add/remove an arc or swap labels", [
         ("op", {"choices": ("add", "remove", "transpose")}),
         ("bdiagram", {}),
         ("i", {"type": int}),
         ("j", {"type": int}),
-    ], ()),
+    ]),
     "render": (_cmd_render, "draw a word's path", [
         ("input", {}),
         ("--kind", {"choices": ("perm", "word", "bword"), "default": "word"}),
         ("--format", {"choices": ("ascii", "svg"), "default": "ascii"}),
-    ], ()),
-    "census": (_cmd_census, "verify word counts for one n", [("n", {"type": int})], ()),
+    ]),
+    "census": (_cmd_census, "verify word counts for one n", [("n", {"type": int})]),
 }
 
 
+@functools.cache
 def build_parser():
     """The argparse parser of every subcommand, which alone writes help and
-    usage errors."""
+    usage errors; built once."""
     import argparse  # here, so that a plain argv never loads it
 
     parser = argparse.ArgumentParser(
@@ -263,11 +258,10 @@ def build_parser():
         description="Arc diagrams of cyclic permutations and acyclic block diagrams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help, arguments, exclusive) in _COMMANDS.items():
+    for name, (func, help, arguments) in _COMMANDS.items():
         s = sub.add_parser(name, help=help)
-        group = s.add_mutually_exclusive_group() if exclusive else s
         for arg, settings in (*_COMMON, *arguments):
-            (group if arg in exclusive else s).add_argument(arg, **settings)
+            s.add_argument(arg, **settings)
         s.set_defaults(func=func)
     return parser
 
@@ -278,15 +272,15 @@ def _plain_args(argv):
 
     Plain means: a subcommand's exact name, then only its exact option
     flags, each valued one followed by its value, and exactly its number of
-    operands, with no two options that exclude each other. Every value and
-    operand must not start with ``-`` and must convert by its type into its
-    choices. Anything else (help, an abbreviation, ``--cap=5``, ``--``, a
-    negative number, a usage error) is left to argparse.
+    operands. Every value and operand must not start with ``-`` and must
+    convert by its type into its choices. Anything else (help, an
+    abbreviation, ``--cap=5``, ``--``, a negative number, a usage error) is
+    left to argparse.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
     name, tokens = argv[0], iter(argv[1:])
-    func, _, arguments, exclusive = _COMMANDS[name]
+    func, _, arguments = _COMMANDS[name]
     options = {  # flag -> (attribute name, settings)
         flag: (flag[2:].replace("-", "_"), settings)
         for flag, settings in (*_COMMON, *arguments)
@@ -295,10 +289,8 @@ def _plain_args(argv):
     operands = iter([a for a in arguments if not a[0].startswith("-")])
     values = {"command": name, "func": func}
     values.update((dest, settings.get("default", False)) for dest, settings in options.values())
-    given = set()
     for token in tokens:
         if token in options:
-            given.add(token)
             dest, settings = options[token]
             if settings.get("action") == _SWITCH:
                 values[dest] = True
@@ -319,7 +311,7 @@ def _plain_args(argv):
         if choices is not None and value not in choices:
             return None
         values[dest] = value
-    if next(operands, None) is not None or len(given.intersection(exclusive)) > 1:
+    if next(operands, None) is not None:
         return None
     return types.SimpleNamespace(**values)
 

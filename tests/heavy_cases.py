@@ -13,11 +13,12 @@ its exit code, its count, its stderr line and both bounds, stopping it at
 its wall bound.  Run as a script, this module first prints, in a Markdown
 code block, the lines of every module in ``src/`` as ``wc -l`` counts them,
 and for one command of each benchmarked kind the lines of the modules whose
-body ran, which it compiles.  Then it reports every row that tier-1 does not
-expect to fail: per row, one Markdown line with the median wall time of its
-runs and their largest own peak RSS.  It prints every line, then fails only
-if a command exited with another code, or a row listed another count or
-wrote another stderr line::
+body ran, which it compiles, and the milliseconds that command spent in the
+library and, of those, in ``compile()``.  Then it reports every row that
+tier-1 does not expect to fail: per row, one Markdown line with the median
+wall time of its runs and their largest own peak RSS.  It prints every
+line, then fails only if a command exited with another code, or a row
+listed another count or wrote another stderr line::
 
     PYTHONPATH=src python tests/heavy_cases.py
 
@@ -86,6 +87,27 @@ if sys.argv[1:]:
 print(*(name.partition(".")[2] or "__init__" for name, module in sys.modules.items()
         if name.split(".")[0] == "arcdiagrams" and type(module) is types.ModuleType))
 print(*{"json", "argparse", "gettext", "locale"} & set(sys.modules))
+"""
+
+# run a command in a fresh interpreter, then print the milliseconds it spent in
+# the library (importing arcdiagrams.cli and running main) and, of those, in
+# compile(): the loader compiles a module's source when it finds no bytecode
+COMPILED = """
+import io, sys, time
+from contextlib import redirect_stdout
+from importlib.machinery import SourceFileLoader
+source_to_code, compiling = SourceFileLoader.source_to_code, []
+def timed(*args, **kwargs):
+    start = time.perf_counter()
+    code = source_to_code(*args, **kwargs)
+    compiling.append(time.perf_counter() - start)
+    return code
+SourceFileLoader.source_to_code = timed
+start = time.perf_counter()
+import arcdiagrams.cli
+with redirect_stdout(io.StringIO()):
+    arcdiagrams.cli.main(sys.argv[1:])
+print(f"{1000 * (time.perf_counter() - start):.1f} {1000 * sum(compiling):.1f}")
 """
 
 
@@ -296,8 +318,14 @@ def line_counts():
             failures.append(f"{' '.join(argv)} exited {code}: {err}")
             continue
         stems = sorted(out.split("\n")[0].split())
+        code, out, err, _, _ = run_own_peak(["-c", COMPILED, *argv])
+        if code:
+            failures.append(f"{' '.join(argv)} exited {code}: {err}")
+            continue
+        library_ms, compile_ms = out.split()
         print(f"{' '.join(argv)}: {sum(lines[stem] for stem in stems)} lines in "
-              f"{', '.join(stems)}")
+              f"{', '.join(stems)}; {library_ms} ms in the library, {compile_ms} of them "
+              f"in compile()")
     print("```", flush=True)
     return failures
 

@@ -322,7 +322,7 @@ class TestGenerators:
         assert "5733-digit" in err
 
     def test_tiny_count(self, capsys):
-        code, out, _ = run(capsys, "generators", "--count", "1 2 | 3")
+        code, out, _ = run(capsys, "generators", "1 2 | 3")
         assert code == 0 and out.strip() == "2"
 
     @pytest.mark.parametrize(
@@ -618,6 +618,25 @@ class TestStartup:
         # loads only for help, usage errors and unusual forms
         assert set(python(RAN, *argv)) == {"__init__", "cli", "errors", "perm", *ran}
 
+    def test_argparse_parser_is_built_once(self):
+        # a plain argv builds no parser, and the argvs argparse reads share one
+        code = """
+import argparse, io, sys
+from contextlib import redirect_stderr, redirect_stdout
+import arcdiagrams.cli
+built, init = [], argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))  # a subcommand's parser is "arcdiagrams <name>"
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+for argv in sys.argv[1:]:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        arcdiagrams.cli.main(argv.split(","))
+    print(built.count("arcdiagrams"))
+"""
+        argvs = ["crossing,1 3 | 2", "edit,add,1 2 | 3,-1,2", "census,5,--cap=5"]
+        assert python(code, *argvs) == ["0", "1", "1"]
+
     def test_tracer_restores_functions_of_modules_loaded_under_it(self):
         # the tracer loads bdiagram, generation and inversion as it scans
         # sys.modules; each must bind the functions it imports before the
@@ -840,10 +859,10 @@ class TestUsage:
         # texts are not compared, as argparse's layout differs between Python versions
         subcommands = {
             "classify": (("1 3 2",), ()),
-            "invert": (("rkR",), ("--all", "--canonical-half", "--oracle")),
+            "invert": (("rkR",), ("--canonical-half", "--oracle")),
             "bword": (("1 | 2",), ()),
             "validate-word": (("rkR",), ()),
-            "generators": (("1 | 2",), ("--count", "--list", "--method")),
+            "generators": (("1 | 2",), ("--list", "--method")),
             "cutset": (("1 3 2", "1 2 3"), ()),
             "complement": (("1 3 2", "1 2 3"), ()),
             "crossing": (("1 2",), ()),
@@ -864,6 +883,16 @@ class TestUsage:
             help_text = capsys.readouterr().out
             flags = re.findall(r"^  (?:-h, )?(--[\w-]+)", help_text, re.MULTILINE)
             assert flags == ["--help", "--json", "--cap", *own], name
+
+    @pytest.mark.parametrize(
+        "argv", [["invert", "rkR", "--all"], ["generators", "1 2 | 3", "--count"]]
+    )
+    def test_retired_flags_are_unknown(self, capsys, argv):
+        # both restated a default, and now fail as any unknown option does
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: ") and err.count("error:") == 1
+        assert err.endswith(f": error: unrecognized arguments: {argv[-1]}\n")
 
     def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["arcdiagrams", "inflate", "arAkAA"])
